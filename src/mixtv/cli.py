@@ -2,7 +2,8 @@
 
 Pipelines consume stdout, which is deterministic for a fixed seed and
 input; the human-readable summary (including timings) goes to stderr.
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 size guard.
+Exit codes: 0 success, 2 usage error, 3 validation error, 4 size guard,
+5 numerical failure on valid input.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from typing import Any, Callable, Sequence
 
 from . import coupling, estimator, model, oracle, subcube
 from .errors import (
+    FactViolation,
     NoActiveComponent,
     NormalizationError,
     NotAProbability,
@@ -37,15 +38,14 @@ _VALIDATION_ERRORS = (
     NotThreeCnf,
     NoActiveComponent,
     ZeroDiscrepancy,
-    ZeroDenominator,
     json.JSONDecodeError,
     FileNotFoundError,
     IsADirectoryError,
 )
+_NUMERICAL_ERRORS = (ZeroDenominator, FactViolation)
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_MAX_CONFIGS = 2**24
-WORKERS_ENV = "MIXTV_WORKERS"
 
 
 class _UsageError(Exception):
@@ -72,14 +72,6 @@ def _load_instance(path: str):
     return p, q, _digest(doc)
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mixtv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,8 +81,6 @@ def _build_parser() -> _Parser:
     approx.add_argument("--epsilon", type=float, required=True)
     approx.add_argument("--seed", type=int, default=0)
     approx.add_argument("--samples", type=int, default=None, help="override the sample count")
-    approx.add_argument("--gamma", type=float, default=None, help="override the coarseness ratio")
-    approx.add_argument("--workers", type=int, default=None)
     approx.add_argument("--repetitions", type=int, default=1)
     approx.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
 
@@ -127,20 +117,17 @@ def _build_parser() -> _Parser:
 
 def _cmd_approx(args) -> tuple[str, dict, list[str], str]:
     p, q, digest = _load_instance(args.input)
-    workers = args.workers if args.workers is not None else _default_workers()
     config = estimator.EstimatorConfig(
         epsilon=args.epsilon,
         seed=args.seed,
-        gamma_override=args.gamma,
         samples_override=args.samples,
-        workers=workers,
         repetitions=args.repetitions,
     )
     warnings = []
-    if args.samples is not None or args.gamma is not None:
+    if args.samples is not None:
         warnings.append(
-            "override in effect: the 99% guarantee rests on the empirical "
-            "coarseness ratio, not the worst case"
+            "--samples overrides the theoretical sample count: the 99% guarantee "
+            "rests on the empirical coarseness ratio, not the worst case"
         )
     est = estimator.approximate_tv(p, q, config, max_states=args.max_states)
     result = {
@@ -150,7 +137,6 @@ def _cmd_approx(args) -> tuple[str, dict, list[str], str]:
         "gamma": est.gamma,
         "samples": est.samples,
         "seed": est.seed,
-        "workers": workers,
         "repetitions": args.repetitions,
     }
     summary = (
@@ -244,6 +230,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except TooLarge as exc:
         _emit_error("size-guard", str(exc))
         return 4
+    except _NUMERICAL_ERRORS as exc:
+        _emit_error("numerical", str(exc))
+        return 5
     report = {
         "command": argv,
         "digest": digest,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,14 +33,7 @@ from .errors import (
     TooLarge,
     ZeroDiscrepancy,
 )
-from .model import Mixture, as_configuration
-
-
-def _check_pair(p: Mixture, q: Mixture) -> None:
-    if (p.q, p.n) != (q.q, q.n):
-        raise ShapeMismatch(
-            f"mixtures disagree on the domain: ({p.q}, {p.n}) vs ({q.q}, {q.n})"
-        )
+from .model import Mixture, as_configuration, check_same_domain
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +57,7 @@ def lower_bound(
     it is a true minimum of stored values, never recomputed, which is what
     guarantees an exact zero in the reweighting below.
     """
-    _check_pair(p, q)
+    check_same_domain(p, q)
     if not 1 <= j <= p.n:
         raise ShapeMismatch(f"coordinate j={j} outside 1..{p.n}")
     if not 0 <= c < p.q:
@@ -374,7 +368,7 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     max_states : int, optional
         Abort with :class:`TooLarge` when the state count would exceed this.
     """
-    _check_pair(p, q)
+    check_same_domain(p, q)
     n, qq = p.n, p.q
     root = _Layer(
         alpha=p.weights[None, :].copy(),
@@ -519,54 +513,16 @@ def evaluate_failure_mass(dag: CouplingDag, sigma: Sequence[int]) -> float:
 
 
 def failure_mass_table(dag: CouplingDag, max_configs: int = 2**14) -> np.ndarray:
-    """Failure mass of every configuration, in lexicographic order.
+    """Failure mass of every configuration in lexicographic order (size-guarded).
 
-    Equivalent to calling :func:`evaluate_failure_mass` on all ``q**n``
-    configurations, but runs the layer DP for a whole block of
-    configurations at once.  Guarded by ``max_configs``.
+    One :func:`evaluate_failure_mass` call per configuration.
     """
-    n, qq = dag.n, dag.q
-    total = qq**n
+    total = dag.q**dag.n
     if total > max_configs:
         raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
-    layers = dag._layers
-    comp = dag.mix_p.components
-    out = np.empty(total)
-    chunk = 2048
-    powers = qq ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        width = idx.size
-        sig = (idx[None, :] // powers[:, None]) % qq  # (n, B)
-        vals = comp[:, np.arange(n)[:, None], sig]  # (k1, n, B)
-        sp = np.ones((dag.k1, n + 1, width))
-        sp[:, :n, :] = np.cumprod(vals[:, ::-1, :], axis=1)[:, ::-1, :]
-        psi = np.zeros((layers[-1].size, width))
-        cols = np.arange(width)
-        for depth in range(n - 1, -1, -1):
-            lay = layers[depth]
-            c_row = sig[depth]
-            w1_sel = lay.w1[:, c_row]  # (M, B)
-            w2_sel = lay.w2[:, c_row]
-            rp_sel = lay.res_p[:, c_row]
-            if psi.shape[0]:
-                psi1 = np.where(
-                    (lay.child1 >= 0)[:, None], psi[np.maximum(lay.child1, 0)], 0.0
-                )
-                ch2 = lay.child2[:, c_row]  # (M, B)
-                psi2 = np.where(ch2 >= 0, psi[np.maximum(ch2, 0), cols[None, :]], 0.0)
-            else:
-                psi1 = np.zeros((lay.size, width))
-                psi2 = np.zeros((lay.size, width))
-            spn = sp[:, depth + 1, :]  # (k1, B)
-            tau = np.empty((lay.size, width))
-            for c in range(qq):
-                sel = np.flatnonzero(c_row == c)
-                if sel.size:
-                    tau[:, sel] = lay.upd_alpha[:, :, c] @ spn[:, sel]
-            psi = w1_sel * psi1 + w2_sel * psi2 + rp_sel * tau
-        out[idx] = psi[0]
-    return out
+    return np.array(
+        [evaluate_failure_mass(dag, cfg) for cfg in product(range(dag.q), repeat=dag.n)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +631,7 @@ def simulate_coupling(
     rule as :func:`build_dag`.  This path never touches the DAG, so it
     serves as an independent statistical cross-check of it.
     """
-    _check_pair(p, q)
+    check_same_domain(p, q)
     n, qq, k1, k2 = p.n, p.q, p.k, q.k
     cp = p.components.tolist()
     cq = q.components.tolist()

@@ -5,7 +5,9 @@ The estimate is ``fbar * Pr[X != Y]`` under the recursive coupling, where
 averaged over samples of the first coordinate sequence conditioned on the
 coupling failing.  With the theoretical sample count the result lies within
 a ``(1 +/- epsilon)`` factor of the true distance with probability at least
-99%.
+99%.  Each repetition is one sequential loop over blocks of draws: draw the
+failed trajectories of a block, evaluate the integrand once per distinct
+configuration, and add the values to the running sum in draw order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,36 +32,37 @@ from .model import Mixture, mass
 
 # Ratios may exceed 1 by at most this before they count as a coupling bug.
 CLAMP_TOL = 1e-9
+# Draws per block.  f is deterministic, so it is evaluated once per distinct
+# configuration of a block: on tiny domains most draws repeat ({0,1}^2 has 4
+# configurations), on large ones nearly every draw is new.  The block bounds
+# the memory this takes.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of :func:`approximate_tv`.
 
-    ``gamma_override`` and ``samples_override`` replace the theoretical
-    coarseness ratio ``(4nq)^-(k1+k2-1)`` and sample count
-    ``ceil(100 / (gamma * epsilon^2))``; with either override the 99%
-    guarantee rests on the empirical coarseness, not the worst case.
-    ``repetitions`` returns the median of that many independent runs for
-    confidence beyond 99%.
+    Without ``samples_override`` the sample count is the theoretical
+    ``ceil(100 / (gamma * epsilon^2))`` with ``gamma = (4nq)^-(k1+k2-1)``,
+    which carries the 99% guarantee.  ``samples_override`` sets the count
+    directly; the guarantee then rests on the empirical coarseness ratio,
+    not the worst case.  ``repetitions`` returns the median of that many
+    independent runs for confidence beyond 99%.
     """
 
     epsilon: float
     seed: int = 0
-    gamma_override: float | None = None
     samples_override: int | None = None
-    workers: int = 1
     repetitions: int = 1
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ShapeMismatch(f"epsilon must be positive, got {self.epsilon}")
-        if self.gamma_override is not None and not 0.0 < self.gamma_override <= 1.0:
-            raise ShapeMismatch(f"gamma_override must lie in (0, 1], got {self.gamma_override}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ShapeMismatch(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.samples_override is not None and self.samples_override < 1:
             raise ShapeMismatch(f"samples_override must be positive, got {self.samples_override}")
-        if self.workers < 1 or self.repetitions < 1:
-            raise ShapeMismatch("workers and repetitions must be positive")
+        if self.repetitions < 1:
+            raise ShapeMismatch(f"repetitions must be positive, got {self.repetitions}")
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,20 @@ def theoretical_gamma(n: int, q: int, k1: int, k2: int) -> float:
 
 
 def sample_count(gamma: float, epsilon: float) -> int:
-    """Monte Carlo sample count ``ceil(100 / (gamma * epsilon^2))``."""
-    if gamma <= 0.0:
+    """Monte Carlo sample count ``ceil(100 / (gamma * epsilon^2))``, at least 1."""
+    denom = gamma * epsilon * epsilon
+    if not denom > 0.0 or math.isinf(100.0 / denom):
         raise TooLarge(
-            "coarseness ratio underflowed to 0; the theoretical sample count "
-            "is astronomically large, use gamma/samples overrides"
+            f"the theoretical sample count 100 / (gamma * epsilon^2) overflows at "
+            f"gamma={gamma!r}, epsilon={epsilon!r}; set the count with --samples"
         )
-    return math.ceil(100.0 / (gamma * epsilon * epsilon))
+    return max(1, math.ceil(100.0 / denom))
+
+
+def _describe(omega: Sequence[int]) -> str:
+    """``omega`` for an error message: its length and at most 8 leading values."""
+    head = ", ".join(str(int(c)) for c in omega[:8])
+    return f"sigma of length n={len(omega)} starting ({head}{', ...' if len(omega) > 8 else ''})"
 
 
 def f_value(p: Mixture, q: Mixture, dag: CouplingDag, omega: Sequence[int]) -> float:
@@ -100,33 +109,11 @@ def f_value(p: Mixture, q: Mixture, dag: CouplingDag, omega: Sequence[int]) -> f
     """
     denom = evaluate_failure_mass(dag, omega)
     if denom <= 0.0:
-        raise ZeroDenominator(f"configuration {tuple(omega)} has zero failure mass")
+        raise ZeroDenominator(f"{_describe(omega)} has zero failure mass")
     ratio = max(0.0, mass(p, omega) - mass(q, omega)) / denom
     if ratio > 1.0 + CLAMP_TOL:
-        raise FactViolation(f"f({tuple(omega)}) = {ratio!r} exceeds 1 + {CLAMP_TOL}")
+        raise FactViolation(f"f at {_describe(omega)} is {ratio!r}, above 1 + {CLAMP_TOL}")
     return min(ratio, 1.0)
-
-
-def _worker_sum(
-    p: Mixture,
-    q: Mixture,
-    dag: CouplingDag,
-    seed: int,
-    rep: int,
-    worker: int,
-    draws: int,
-    cache: dict[tuple[int, ...], float],
-) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, worker)))
-    acc = 0.0
-    for _ in range(draws):
-        omega = sample_failed_trajectory(dag, rng)
-        fv = cache.get(omega)
-        if fv is None:
-            fv = f_value(p, q, dag, omega)
-            cache[omega] = fv
-        acc += fv
-    return acc
 
 
 def approximate_tv(
@@ -140,18 +127,14 @@ def approximate_tv(
     Builds the coupling DAG, reads off the discrepancy, and averages the
     integrand over conditioned samples.  A zero discrepancy proves the
     distance is zero, so the estimate 0 is returned without sampling.
-    Identical configurations produce bit-identical results: worker streams
-    are derived from (seed, repetition, worker) and partial sums are reduced
-    in ascending worker order.
+    Results are bit-identical given (seed, repetitions): repetition ``rep``
+    draws from a stream derived from ``(seed, rep)`` and sums its integrand
+    values in draw order, in blocks of :data:`BLOCK` draws.
     """
     t0 = time.perf_counter()
     dag = build_dag(p, q, max_states=max_states)
     discrepancy = failure_probability(dag)
-    gamma = (
-        config.gamma_override
-        if config.gamma_override is not None
-        else theoretical_gamma(p.n, p.q, p.k, q.k)
-    )
+    gamma = theoretical_gamma(p.n, p.q, p.k, q.k)
     if discrepancy == 0.0:
         return TvEstimate(
             estimate=0.0,
@@ -167,25 +150,22 @@ def approximate_tv(
         if config.samples_override is not None
         else sample_count(gamma, config.epsilon)
     )
-    cache: dict[tuple[int, ...], float] = {}
-    per_worker = [
-        draws // config.workers + (1 if w < draws % config.workers else 0)
-        for w in range(config.workers)
-    ]
     fbars = []
     for rep in range(config.repetitions):
-        if config.workers == 1:
-            sums = [_worker_sum(p, q, dag, config.seed, rep, 0, draws, cache)]
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(
-                        _worker_sum, p, q, dag, config.seed, rep, w, per_worker[w], cache
-                    )
-                    for w in range(config.workers)
-                ]
-                sums = [f.result() for f in futures]  # ascending worker order
-        fbars.append(math.fsum(sums) / draws)
+        # The trailing 0 of the spawn key is part of the stream: removing it
+        # would change every estimate.
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, 0))
+        )
+        acc = 0.0
+        for start in range(0, draws, BLOCK):
+            omegas = [
+                sample_failed_trajectory(dag, rng) for _ in range(min(BLOCK, draws - start))
+            ]
+            fvals = {omega: f_value(p, q, dag, omega) for omega in dict.fromkeys(omegas)}
+            for omega in omegas:
+                acc += fvals[omega]
+        fbars.append(acc / draws)
     fbar = statistics.median(fbars)
     return TvEstimate(
         estimate=fbar * discrepancy,

@@ -135,6 +135,14 @@ def validate_mixture(raw: Mapping[str, Any] | tuple) -> Mixture:
     return Mixture(q=q, n=n, weights=weights, components=components)
 
 
+def check_same_domain(p: Mixture, q: Mixture) -> None:
+    """Raise :class:`ShapeMismatch` unless ``p`` and ``q`` share ``(q, n)``."""
+    if (p.q, p.n) != (q.q, q.n):
+        raise ShapeMismatch(
+            f"mixtures disagree on the domain: ({p.q}, {p.n}) vs ({q.q}, {q.n})"
+        )
+
+
 def as_configuration(m: Mixture, values: Sequence[int], length: int | None = None) -> np.ndarray:
     """Coerce ``values`` to an int configuration array and range-check it."""
     cfg = np.asarray(values, dtype=np.int64)
@@ -209,10 +217,7 @@ def parse_instance(doc: Mapping[str, Any]) -> tuple[Mixture, Mixture]:
             raise ShapeMismatch(f"instance document is missing key {key!r}")
     p = validate_mixture(doc["p"])
     q = validate_mixture(doc["q_dist"])
-    if (p.q, p.n) != (q.q, q.n):
-        raise ShapeMismatch(
-            f"mixtures disagree on the domain: ({p.q}, {p.n}) vs ({q.q}, {q.n})"
-        )
+    check_same_domain(p, q)
     if int(doc["q"]) != p.q or int(doc["n"]) != p.n:
         raise ShapeMismatch(
             f"declared q={doc['q']}, n={doc['n']} but arrays have q={p.q}, n={p.n}"
@@ -222,8 +227,7 @@ def parse_instance(doc: Mapping[str, Any]) -> tuple[Mixture, Mixture]:
 
 def instance_document(p: Mixture, q: Mixture) -> dict[str, Any]:
     """Serialize a pair of mixtures to the JSON instance document layout."""
-    if (p.q, p.n) != (q.q, q.n):
-        raise ShapeMismatch("mixtures disagree on the domain")
+    check_same_domain(p, q)
     return {
         "q": p.q,
         "n": p.n,

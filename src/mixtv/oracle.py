@@ -19,16 +19,9 @@ from .errors import (
     TooLarge,
     WrongAlphabet,
 )
-from .model import Mixture, validate_mixture
+from .model import Mixture, check_same_domain, validate_mixture
 
 _CHUNK = 1 << 16
-
-
-def _check_pair(p: Mixture, q: Mixture) -> None:
-    if (p.q, p.n) != (q.q, q.n):
-        raise ShapeMismatch(
-            f"mixtures disagree on the domain: ({p.q}, {p.n}) vs ({q.q}, {q.n})"
-        )
 
 
 def _config_block(start: int, stop: int, n: int, q: int) -> np.ndarray:
@@ -64,7 +57,7 @@ def mass_table(m: Mixture, max_configs: int = 2**24) -> np.ndarray:
 
 def brute_force_tv(p: Mixture, q: Mixture, max_configs: int = 2**24) -> float:
     """Total variation distance by full enumeration: sum of max(0, P - Q)."""
-    _check_pair(p, q)
+    check_same_domain(p, q)
     total = p.q**p.n
     if total > max_configs:
         raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
@@ -85,7 +78,7 @@ def brute_force_chi_counts(p: Mixture, q: Mixture, max_n: int = 24) -> dict[tupl
     a component iff its probability under that component is positive), so
     the result is independent of the inclusion-exclusion path it validates.
     """
-    _check_pair(p, q)
+    check_same_domain(p, q)
     if p.q != 2:
         raise WrongAlphabet(f"subcube counting needs q = 2, got q = {p.q}")
     for m in (p, q):

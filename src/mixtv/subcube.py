@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotASubcube, ShapeMismatch, TooLarge, WrongAlphabet
-from .model import Mixture
+from .model import Mixture, check_same_domain
 
 # A marginal must be within this of 0, 1/2, or 1 to classify; the values are
 # exact under JSON round-trips, so the slack only guards exotic serializers.
@@ -236,10 +236,7 @@ def exact_subcube_tv(p: Mixture, q: Mixture) -> float:
     sum_t b_t 2^-r'_t chi_(k1+t)|``.  Counting is exact integer arithmetic
     for any ``n``; the final sum is double precision.
     """
-    if (p.q, p.n) != (q.q, q.n):
-        raise ShapeMismatch(
-            f"mixtures disagree on the domain: ({p.q}, {p.n}) vs ({q.q}, {q.n})"
-        )
+    check_same_domain(p, q)
     prof_p = classify_subcube(p)
     prof_q = classify_subcube(q)
     k1 = prof_p.k

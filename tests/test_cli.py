@@ -4,7 +4,7 @@ import pytest
 
 import mixtv as mx
 from mixtv import cli
-from conftest import uniform_bits
+from conftest import mixture, uniform_bits
 
 
 def run_cli(capsys, args):
@@ -58,10 +58,46 @@ class TestApprox:
         assert json.loads(err)["error"] == "validation"
 
     def test_bad_epsilon_is_validation_error(self, capsys, small_instance):
-        code, _, _ = run_cli(
-            capsys, ["approx", "--input", small_instance, "--epsilon", "-1"]
+        for epsilon in ("-1", "inf", "nan"):
+            code, _, err = run_cli(
+                capsys, ["approx", "--input", small_instance, "--epsilon", epsilon]
+            )
+            assert code == 3
+            assert json.loads(err)["error"] == "validation"
+
+    def test_huge_epsilon_draws_one_sample(self, capsys, small_instance):
+        code, out, _ = run_cli(
+            capsys, ["approx", "--input", small_instance, "--epsilon", "1e200"]
         )
-        assert code == 3
+        assert code == 0
+        assert json.loads(out)["result"]["samples"] == 1
+
+    def test_zero_denominator_is_numerical_error(self, capsys, tmp_path):
+        # 2^-1200 underflows, so every sampled sigma has zero failure mass.
+        n = 1200
+        p = uniform_bits(n)
+        q = mixture([1.0], [[[1.0, 0.0]] + [[0.5, 0.5]] * (n - 1)])
+        path = write_instance(tmp_path / "underflow.json", p, q)
+        code, out, err = run_cli(
+            capsys, ["approx", "--input", path, "--epsilon", "0.5", "--samples", "5"]
+        )
+        assert code == 5
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "numerical"
+        assert "n=1200" in error["detail"]
+        assert len(error["detail"]) < 200
+
+    def test_fact_violation_is_numerical_error(self, capsys, monkeypatch, small_instance):
+        def violate(*args, **kwargs):
+            raise mx.FactViolation("f exceeds 1")
+
+        monkeypatch.setattr(cli.estimator, "approximate_tv", violate)
+        code, _, err = run_cli(
+            capsys, ["approx", "--input", small_instance, "--epsilon", "0.1"]
+        )
+        assert code == 5
+        assert json.loads(err) == {"error": "numerical", "detail": "f exceeds 1"}
 
 
 class TestExactAndBrute:
@@ -204,6 +240,9 @@ class TestReports:
         assert run_cli(capsys, ["approx", "--input"])[0] == 2
         assert run_cli(capsys, ["frobnicate"])[0] == 2
         assert run_cli(capsys, [])[0] == 2
+        for removed in (["--workers", "2"], ["--gamma", "0.5"]):
+            args = ["approx", "--input", "x.json", "--epsilon", "0.1", *removed]
+            assert run_cli(capsys, args)[0] == 2
 
     def test_usage_error_detail_is_json(self, capsys):
         code, out, err = run_cli(capsys, ["frobnicate"])
@@ -239,17 +278,3 @@ class TestReports:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, ["brute", "--input", str(path)])
         assert code == 3
-
-    def test_workers_env_default(self, capsys, monkeypatch, identical_instance):
-        monkeypatch.setenv("MIXTV_WORKERS", "3")
-        code, out, _ = run_cli(
-            capsys, ["approx", "--input", identical_instance, "--epsilon", "0.1"]
-        )
-        assert code == 0
-        assert json.loads(out)["result"]["workers"] == 3
-        monkeypatch.setenv("MIXTV_WORKERS", "junk")
-        code, out, _ = run_cli(
-            capsys, ["approx", "--input", identical_instance, "--epsilon", "0.1"]
-        )
-        assert code == 0
-        assert json.loads(out)["result"]["workers"] == 1

@@ -3,6 +3,7 @@ import statistics
 import pytest
 
 import mixtv as mx
+from mixtv import estimator
 from conftest import lex_configs, mixture, point_mass
 
 
@@ -16,18 +17,23 @@ class TestParameters:
         assert mx.sample_count(1.0, 0.1) == 10_000
 
     def test_sample_count_underflow_guard(self):
-        with pytest.raises(mx.TooLarge):
-            mx.sample_count(0.0, 0.1)
+        for gamma, epsilon in ((0.0, 0.1), (1e-300, 1e-5), (1e-300, 1e-100)):
+            with pytest.raises(mx.TooLarge, match="--samples"):
+                mx.sample_count(gamma, epsilon)
+
+    def test_sample_count_at_least_one(self):
+        assert mx.sample_count(1.0, 1e200) == 1
 
     def test_config_validation(self):
         with pytest.raises(mx.ShapeMismatch):
             mx.EstimatorConfig(epsilon=0.0)
         with pytest.raises(mx.ShapeMismatch):
-            mx.EstimatorConfig(epsilon=0.1, gamma_override=1.5)
-        with pytest.raises(mx.ShapeMismatch):
             mx.EstimatorConfig(epsilon=0.1, samples_override=0)
         with pytest.raises(mx.ShapeMismatch):
-            mx.EstimatorConfig(epsilon=0.1, workers=0)
+            mx.EstimatorConfig(epsilon=0.1, repetitions=0)
+        for epsilon in (float("inf"), float("nan")):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.EstimatorConfig(epsilon=epsilon)
 
 
 class TestFValue:
@@ -90,7 +96,7 @@ class TestApproximateTv:
 
     def test_reproducible_across_calls(self):
         p, q = mx.random_instance(3, 2, 2, 2, seed=6)
-        cfg = mx.EstimatorConfig(epsilon=0.5, seed=42, samples_override=400, workers=3)
+        cfg = mx.EstimatorConfig(epsilon=0.5, seed=42, samples_override=400)
         a = mx.approximate_tv(p, q, cfg)
         b = mx.approximate_tv(p, q, cfg)
         assert (a.estimate, a.fbar, a.discrepancy, a.samples) == (
@@ -100,11 +106,13 @@ class TestApproximateTv:
             b.samples,
         )
 
-    def test_worker_split_changes_stream_not_validity(self, uniform2, point00):
-        for workers in (1, 2, 5):
-            cfg = mx.EstimatorConfig(epsilon=0.1, seed=9, samples_override=2000, workers=workers)
-            est = mx.approximate_tv(uniform2, point00, cfg)
-            assert est.estimate == pytest.approx(0.75, abs=0.05)
+    def test_block_dedupe_keeps_the_per_draw_sum(self, monkeypatch):
+        p, q = mx.random_instance(2, 2, 2, 2, seed=5)
+        cfg = mx.EstimatorConfig(epsilon=0.5, seed=4, samples_override=600, repetitions=2)
+        blocked = mx.approximate_tv(p, q, cfg)
+        monkeypatch.setattr(estimator, "BLOCK", 1)
+        single = mx.approximate_tv(p, q, cfg)
+        assert (blocked.estimate, blocked.fbar) == (single.estimate, single.fbar)
 
     def test_repetitions_stay_deterministic(self):
         p, q = mx.random_instance(2, 2, 2, 2, seed=8)
