@@ -39,6 +39,7 @@ _VALIDATION_ERRORS = (
     NoActiveComponent,
     ZeroDiscrepancy,
     json.JSONDecodeError,
+    UnicodeDecodeError,
     FileNotFoundError,
     IsADirectoryError,
 )

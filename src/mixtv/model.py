@@ -210,17 +210,25 @@ def mass(m: Mixture, omega: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def parse_instance(doc: Mapping[str, Any]) -> tuple[Mixture, Mixture]:
-    """Parse a JSON instance document into a validated pair of mixtures."""
+def parse_instance(doc: Any) -> tuple[Mixture, Mixture]:
+    """Parse a JSON instance document into a validated pair of mixtures.
+
+    ``doc`` must be a mapping whose ``"q"`` and ``"n"`` are integers (not
+    bools) equal to the arrays' alphabet size and dimension; anything else is
+    a :class:`ShapeMismatch`.
+    """
+    if not isinstance(doc, Mapping):
+        raise ShapeMismatch(f"instance document must be an object, got {type(doc).__name__}")
     for key in ("q", "n", "p", "q_dist"):
         if key not in doc:
             raise ShapeMismatch(f"instance document is missing key {key!r}")
     p = validate_mixture(doc["p"])
     q = validate_mixture(doc["q_dist"])
     check_same_domain(p, q)
-    if int(doc["q"]) != p.q or int(doc["n"]) != p.n:
+    declared = (doc["q"], doc["n"])
+    if any(type(v) is not int for v in declared) or declared != (p.q, p.n):
         raise ShapeMismatch(
-            f"declared q={doc['q']}, n={doc['n']} but arrays have q={p.q}, n={p.n}"
+            f"declared q={doc['q']!r}, n={doc['n']!r} but arrays have q={p.q}, n={p.n}"
         )
     return p, q
 

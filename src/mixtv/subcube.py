@@ -4,9 +4,9 @@ A component over {0,1}^n is a Boolean subcube when every marginal fixes its
 coordinate to 0, fixes it to 1, or leaves it uniform.  A point then has one
 of at most ``2^(k1+k2)`` probability-difference values, indexed by the bit
 vector recording which components it is feasible for, so the distance
-reduces to counting points per feasibility vector.  The counts come from
-inclusion-exclusion over cube intersections and are exact integers; only
-the final weighted sum is floating point.  Each scaled count is exact for
+reduces to counting points per feasibility vector.  The counts are the
+superset Mobius transform of the cube-intersection sizes, in exact integers;
+only the final weighted sum is floating point.  Each scaled count is exact for
 counts below 2**53 (one-ulp truncation beyond) and underflows to zero once
 a component has more than ~1074 free coordinates.
 """
@@ -14,6 +14,7 @@ a component has more than ~1074 free coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import ldexp
 from typing import Sequence
 
@@ -25,6 +26,9 @@ from .model import Mixture, check_same_domain
 # A marginal must be within this of 0, 1/2, or 1 to classify; the values are
 # exact under JSON round-trips, so the slack only guards exotic serializers.
 CLASSIFY_TOL = 1e-12
+# chi_table refuses tables estimated above this many bytes, counting one
+# integer of up to n bits and one chi tuple per entry.
+CHI_TABLE_MAX_BYTES = 1 << 30
 
 ChiTable = dict[tuple[int, ...], int]
 
@@ -150,13 +154,12 @@ def _coordinate_patterns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group coordinates by which formulas fix them to 1 / to 0.
 
-    Returns bitmask arrays ``(ones_mask, zeros_mask, count)`` over distinct
-    patterns; coordinates sharing a pattern are interchangeable, which keeps
-    the per-subset work proportional to the number of patterns rather than n.
+    Returns uint64 bitmask arrays ``(ones_mask, zeros_mask, count)`` over
+    distinct patterns (the :func:`chi_table` size guard keeps ``k1 + k2``
+    below 23); coordinates sharing a pattern are interchangeable, so the
+    per-subset work is proportional to the number of patterns, not n.
     """
     k_total = p.k + q.k
-    if k_total > 63:
-        raise TooLarge(f"k1 + k2 = {k_total} exceeds the 63-formula bitmask limit")
     n = p.n
     o_bits = np.zeros(n, dtype=np.uint64)
     z_bits = np.zeros(n, dtype=np.uint64)
@@ -190,33 +193,29 @@ def _phi_sizes(p: SubcubeProfile, q: SubcubeProfile) -> list[int]:
 def chi_table(p: SubcubeProfile, q: SubcubeProfile) -> ChiTable:
     """The full map chi -> count, in lexicographic chi order.
 
-    Matches :func:`chi_count` entry by entry but shares the cube
-    intersection sizes across all chi values, so building the whole table
-    costs ``O(3^(k1+k2))`` subset evaluations over coordinate patterns
-    plus ``O(n (k1+k2))`` preprocessing.
+    Matches :func:`chi_count` entry by entry.  ``|Phi(S)|`` sums ``N_chi``
+    over every ``chi`` containing ``S``, so the counts are its superset
+    Mobius transform: ``k1 + k2`` passes of ``2^(k1+k2-1)`` exact-integer
+    subtractions after ``2^(k1+k2)`` pattern checks.  Raises :class:`TooLarge`
+    first when the estimated table size exceeds ``CHI_TABLE_MAX_BYTES``.
     """
     k_total = p.k + q.k
-    sizes = _phi_sizes(p, q)
-    table: ChiTable = {}
-    for chi_idx in range(1 << k_total):
-        chi = tuple((chi_idx >> (k_total - 1 - f)) & 1 for f in range(k_total))
-        s1_mask = 0
-        s0_mask = 0
-        for f, b in enumerate(chi):
-            if b:
-                s1_mask |= 1 << f
-            else:
-                s0_mask |= 1 << f
-        total = 0
-        sub = s0_mask
-        while True:  # enumerate subsets of s0_mask, largest first
-            sign = -1 if bin(sub).count("1") % 2 else 1
-            total += sign * sizes[s1_mask | sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & s0_mask
-        table[chi] = total
-    return table
+    est = (1 << k_total) * (p.n // 8 + 8 * k_total + 64)
+    if est > CHI_TABLE_MAX_BYTES:
+        raise TooLarge(
+            f"chi table for k1 + k2 = {k_total}, n = {p.n} needs ~{est} bytes, "
+            f"over the {CHI_TABLE_MAX_BYTES}-byte limit"
+        )
+    counts = _phi_sizes(p, q)
+    for f in range(k_total):
+        for mask in range(1 << k_total):
+            if not mask >> f & 1:
+                counts[mask] -= counts[mask | 1 << f]
+    # Mask bit f is chi[f], but chi[0] is the most significant in lex order.
+    masks = [0]
+    for f in range(k_total):
+        masks = [m | b << f for m in masks for b in (0, 1)]
+    return dict(zip(product((0, 1), repeat=k_total), (counts[m] for m in masks)))
 
 
 def _exact_scaled(count: int, shift: int) -> float:

@@ -117,6 +117,13 @@ class TestExactAndBrute:
         assert code == 3
         assert json.loads(err)["error"] == "validation"
 
+    def test_exact_subcube_size_guard(self, capsys, tmp_path):
+        p, q = mx.random_instance(3, 2, 20, 20, seed=0, family="subcube")
+        path = write_instance(tmp_path / "k40.json", p, q)
+        code, _, err = run_cli(capsys, ["exact-subcube", "--input", path])
+        assert code == 4
+        assert json.loads(err)["error"] == "size-guard"
+
     def test_brute_size_guard(self, capsys, tmp_path):
         p, q = mx.random_instance(30, 2, 1, 1, seed=0)
         path = write_instance(tmp_path / "big.json", p, q)
@@ -278,3 +285,13 @@ class TestReports:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, ["brute", "--input", str(path)])
         assert code == 3
+        p = uniform_bits(2)
+        doc = mx.instance_document(p, p)
+        cases = [b"5", b"\xff\xfe not utf-8"]
+        for q in ("abc", None, 2.7):
+            cases.append(json.dumps({**doc, "q": q}).encode())
+        for raw in cases:
+            path.write_bytes(raw)
+            code, _, err = run_cli(capsys, ["exact-subcube", "--input", str(path)])
+            assert code == 3, raw[:20]
+            assert json.loads(err)["error"] == "validation"

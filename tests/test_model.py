@@ -124,6 +124,15 @@ class TestInstanceDocuments:
         doc["n"] = 5
         with pytest.raises(mx.ShapeMismatch):
             mx.parse_instance(doc)
+        doc["n"] = 2
+        mx.parse_instance(doc)
+        for q in ("abc", None, 2.7, 2.0, True):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.parse_instance({**doc, "q": q})
+        with pytest.raises(mx.ShapeMismatch):
+            mx.parse_instance(5)
+        with pytest.raises(mx.ShapeMismatch):
+            mx.parse_instance([doc])
 
     def test_rejects_missing_keys(self):
         with pytest.raises(mx.ShapeMismatch):

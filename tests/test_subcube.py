@@ -11,6 +11,18 @@ def profile_pair(p, q):
     return mx.classify_subcube(p), mx.classify_subcube(q)
 
 
+def target_windowed_pair(n, window, k1, k2, seed, fixed=3):
+    """Uniformly weighted subcubes, each fixing ``fixed`` coordinates below
+    ``window`` to the values of one random target point, so no two conflict."""
+    rng = np.random.default_rng(seed)
+    target = rng.integers(0, 2, size=window)
+    comps = np.full((k1 + k2, n, 2), 0.5)
+    for s in range(k1 + k2):
+        pos = rng.choice(window, size=fixed, replace=False)
+        comps[s, pos] = np.eye(2)[target[pos]]
+    return mixture(np.full(k1, 1 / k1), comps[:k1]), mixture(np.full(k2, 1 / k2), comps[k1:])
+
+
 class TestClassify:
     def test_partition_example(self):
         m = mixture([1.0], [[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]])
@@ -94,6 +106,33 @@ class TestChiCount:
             assert table == mx.brute_force_chi_counts(p, q)
             for chi in list(table)[::5]:
                 assert mx.chi_count(pp, qq, chi) == table[chi]
+
+    def test_table_keys_in_lexicographic_order(self):
+        # exact_subcube_tv sums in the table's order, so the order is part of the result.
+        p, q = mx.random_instance(6, 2, 2, 3, seed=4, family="subcube")
+        table = mx.chi_table(*profile_pair(p, q))
+        assert len(table) == 2**5
+        assert list(table) == sorted(table)
+
+    def test_sixteen_formula_table_is_fast_and_exact(self):
+        n, k1, k2 = 2000, 8, 8
+        p, q = target_windowed_pair(n, 40, k1, k2, seed=16)
+        pp, qq = profile_pair(p, q)
+        t0 = time.perf_counter()
+        table = mx.chi_table(pp, qq)
+        assert time.perf_counter() - t0 < 20.0
+        assert sum(table.values()) == 2**n
+        # Mostly-one chi keep chi_count's 2^(number of zeros) terms cheap.
+        rng = np.random.default_rng(0)
+        for chi in (rng.random((64, k1 + k2)) < 0.75).astype(int):
+            assert mx.chi_count(pp, qq, chi) == table[tuple(chi.tolist())]
+
+    def test_size_guard_trips_before_enumeration(self):
+        p, q = mx.random_instance(3, 2, 20, 20, seed=0, family="subcube")
+        t0 = time.perf_counter()
+        with pytest.raises(mx.TooLarge):
+            mx.chi_table(*profile_pair(p, q))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_rejects_bad_chi(self):
         p, q = mx.random_instance(3, 2, 1, 1, seed=0, family="subcube")
