@@ -63,6 +63,8 @@ class EstimatorConfig:
             raise ShapeMismatch(f"samples_override must be positive, got {self.samples_override}")
         if self.repetitions < 1:
             raise ShapeMismatch(f"repetitions must be positive, got {self.repetitions}")
+        if self.seed < 0:
+            raise ShapeMismatch(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,8 @@ def random_instance(
     """
     if n < 1 or q < 2 or k1 < 1 or k2 < 1:
         raise ShapeMismatch(f"invalid instance parameters n={n}, q={q}, k1={k1}, k2={k2}")
+    if seed < 0:
+        raise ShapeMismatch(f"seed must be non-negative, got {seed}")
     if family not in ("general", "subcube"):
         raise ShapeMismatch(f"unknown family {family!r}")
     if family == "subcube" and q != 2:

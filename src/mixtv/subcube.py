@@ -5,8 +5,9 @@ coordinate to 0, fixes it to 1, or leaves it uniform.  A point then has one
 of at most ``2^(k1+k2)`` probability-difference values, indexed by the bit
 vector recording which components it is feasible for, so the distance
 reduces to counting points per feasibility vector.  The counts are the
-superset Mobius transform of the cube-intersection sizes, in exact integers;
-only the final weighted sum is floating point.  Each scaled count is exact for
+superset Mobius transform of the cube-intersection sizes, which one
+depth-first walk over the formula subsets builds; both are exact integers,
+and only the final weighted sum is floating point.  Each scaled count is exact for
 counts below 2**53 (one-ulp truncation beyond) and underflows to zero once
 a component has more than ~1074 free coordinates.
 """
@@ -43,7 +44,6 @@ class SubcubeProfile:
     """
 
     n: int
-    weights: np.ndarray
     ones: tuple[np.ndarray, ...]
     zeros: tuple[np.ndarray, ...]
     free: tuple[np.ndarray, ...]
@@ -82,7 +82,6 @@ def classify_subcube(m: Mixture) -> SubcubeProfile:
         )
     return SubcubeProfile(
         n=m.n,
-        weights=m.weights,
         ones=tuple(np.flatnonzero(row) + 1 for row in is_one),
         zeros=tuple(np.flatnonzero(row) + 1 for row in is_zero),
         free=tuple(np.flatnonzero(row) + 1 for row in is_half),
@@ -149,44 +148,38 @@ def chi_count(p: SubcubeProfile, q: SubcubeProfile, chi: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_patterns(
-    p: SubcubeProfile, q: SubcubeProfile
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group coordinates by which formulas fix them to 1 / to 0.
-
-    Returns uint64 bitmask arrays ``(ones_mask, zeros_mask, count)`` over
-    distinct patterns (the :func:`chi_table` size guard keeps ``k1 + k2``
-    below 23); coordinates sharing a pattern are interchangeable, so the
-    per-subset work is proportional to the number of patterns, not n.
-    """
-    k_total = p.k + q.k
-    n = p.n
-    o_bits = np.zeros(n, dtype=np.uint64)
-    z_bits = np.zeros(n, dtype=np.uint64)
-    for f in range(1, k_total + 1):
-        ones, zeros = _formula(p, q, f)
-        bit = np.uint64(1 << (f - 1))
-        o_bits[ones - 1] |= bit
-        z_bits[zeros - 1] |= bit
-    patterns, counts = np.unique(np.column_stack([o_bits, z_bits]), axis=0, return_counts=True)
-    return patterns[:, 0], patterns[:, 1], counts.astype(np.int64)
+def _fixed_bits(coords: np.ndarray, n: int) -> int:
+    """1-based coordinates as one integer, bit ``i`` standing for coordinate ``i + 1``."""
+    row = np.zeros(n, dtype=bool)
+    row[coords - 1] = True
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _phi_sizes(p: SubcubeProfile, q: SubcubeProfile) -> list[int]:
-    """``|Phi(S)|`` for every formula subset ``S``, indexed by bitmask."""
-    o_bits, z_bits, counts = _coordinate_patterns(p, q)
+    """``|Phi(S)|`` for every formula subset ``S``, indexed by bitmask.
+
+    Formula ``f`` (0-based) is mask bit ``K - 1 - f``, so ascending masks are
+    lexicographic chi order.  A depth-first walk adds formulas in index order;
+    a child's fixed-1 and fixed-0 sets are its parent's OR the new formula's.
+    A conflict empties every superset, so its branch is skipped and its
+    entries stay 0.
+    """
     n = p.n
     k_total = p.k + q.k
-    sizes: list[int] = []
-    for mask in range(1 << k_total):
-        m64 = np.uint64(mask)
-        hit1 = (o_bits & m64) != 0
-        hit0 = (z_bits & m64) != 0
-        if bool((hit1 & hit0).any()):
-            sizes.append(0)
-            continue
-        unfixed = n - int(counts[hit1 | hit0].sum())
-        sizes.append(1 << unfixed)
+    fixed = [
+        tuple(_fixed_bits(c, n) for c in _formula(p, q, f)) for f in range(1, k_total + 1)
+    ]
+    sizes = [0] * (1 << k_total)
+
+    def walk(mask: int, start: int, ones: int, zeros: int) -> None:
+        sizes[mask] = 1 << (n - (ones | zeros).bit_count())
+        for f in range(start, k_total):
+            o = ones | fixed[f][0]
+            z = zeros | fixed[f][1]
+            if not o & z:
+                walk(mask | 1 << (k_total - 1 - f), f + 1, o, z)
+
+    walk(0, 0, 0, 0)
     return sizes
 
 
@@ -196,8 +189,10 @@ def chi_table(p: SubcubeProfile, q: SubcubeProfile) -> ChiTable:
     Matches :func:`chi_count` entry by entry.  ``|Phi(S)|`` sums ``N_chi``
     over every ``chi`` containing ``S``, so the counts are its superset
     Mobius transform: ``k1 + k2`` passes of ``2^(k1+k2-1)`` exact-integer
-    subtractions after ``2^(k1+k2)`` pattern checks.  Raises :class:`TooLarge`
-    first when the estimated table size exceeds ``CHI_TABLE_MAX_BYTES``.
+    subtractions after one depth-first walk over the formula subsets, each
+    step an OR of one formula's fixed coordinates into its parent's.  Raises
+    :class:`TooLarge` first when the estimated table size exceeds
+    ``CHI_TABLE_MAX_BYTES``.
     """
     k_total = p.k + q.k
     est = (1 << k_total) * (p.n // 8 + 8 * k_total + 64)
@@ -211,11 +206,7 @@ def chi_table(p: SubcubeProfile, q: SubcubeProfile) -> ChiTable:
         for mask in range(1 << k_total):
             if not mask >> f & 1:
                 counts[mask] -= counts[mask | 1 << f]
-    # Mask bit f is chi[f], but chi[0] is the most significant in lex order.
-    masks = [0]
-    for f in range(k_total):
-        masks = [m | b << f for m in masks for b in (0, 1)]
-    return dict(zip(product((0, 1), repeat=k_total), (counts[m] for m in masks)))
+    return dict(zip(product((0, 1), repeat=k_total), counts))
 
 
 def _exact_scaled(count: int, shift: int) -> float:

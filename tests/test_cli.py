@@ -251,6 +251,18 @@ class TestReports:
             args = ["approx", "--input", "x.json", "--epsilon", "0.1", *removed]
             assert run_cli(capsys, args)[0] == 2
 
+    def test_negative_seed_is_validation_error(self, capsys, small_instance):
+        for args in (
+            ["approx", "--input", small_instance, "--epsilon", "0.2",
+             "--samples", "20", "--seed", "-1"],
+            ["gen", "random", "--n", "3", "--q", "2", "--k1", "1", "--k2", "1",
+             "--seed", "-1"],
+        ):
+            code, out, err = run_cli(capsys, args)
+            assert code == 3, args[0]
+            assert out == ""
+            assert json.loads(err)["error"] == "validation"
+
     def test_usage_error_detail_is_json(self, capsys):
         code, out, err = run_cli(capsys, ["frobnicate"])
         assert code == 2

@@ -31,6 +31,8 @@ class TestParameters:
             mx.EstimatorConfig(epsilon=0.1, samples_override=0)
         with pytest.raises(mx.ShapeMismatch):
             mx.EstimatorConfig(epsilon=0.1, repetitions=0)
+        with pytest.raises(mx.ShapeMismatch):
+            mx.EstimatorConfig(epsilon=0.1, seed=-1)
         for epsilon in (float("inf"), float("nan")):
             with pytest.raises(mx.ShapeMismatch):
                 mx.EstimatorConfig(epsilon=epsilon)

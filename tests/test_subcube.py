@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixtv as mx
 from conftest import mixture
@@ -21,6 +22,28 @@ def target_windowed_pair(n, window, k1, k2, seed, fixed=3):
         pos = rng.choice(window, size=fixed, replace=False)
         comps[s, pos] = np.eye(2)[target[pos]]
     return mixture(np.full(k1, 1 / k1), comps[:k1]), mixture(np.full(k2, 1 / k2), comps[k1:])
+
+
+# Marginal row of a coordinate fixed to 0, fixed to 1, or left free.
+_ROWS = ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5])
+
+
+@st.composite
+def subcube_pairs(draw):
+    """Subcube pairs with n <= 10 and k1 + k2 <= 8, drawn from a palette of
+    at most four cubes so that duplicates and conflicts are frequent."""
+    n = draw(st.integers(1, 10))
+    k1 = draw(st.integers(1, 7))
+    k2 = draw(st.integers(1, 8 - k1))
+    cube = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    palette = draw(st.lists(cube, min_size=1, max_size=4))
+
+    def side(k):
+        raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        picks = draw(st.lists(st.sampled_from(palette), min_size=k, max_size=k))
+        return mixture([w / sum(raw) for w in raw], [[_ROWS[v] for v in c] for c in picks])
+
+    return side(k1), side(k2)
 
 
 class TestClassify:
@@ -139,6 +162,17 @@ class TestChiCount:
         pp, qq = profile_pair(p, q)
         with pytest.raises(mx.ShapeMismatch):
             mx.chi_count(pp, qq, (1, 0, 1))
+
+
+class TestAgainstBruteForce:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(subcube_pairs())
+    def test_table_and_distance_match_enumeration(self, pair):
+        p, q = pair
+        table = mx.chi_table(*profile_pair(p, q))
+        assert list(table.items()) == list(mx.brute_force_chi_counts(p, q).items())
+        assert sum(table.values()) == 2**p.n
+        assert mx.exact_subcube_tv(p, q) == pytest.approx(mx.brute_force_tv(p, q), abs=1e-12)
 
 
 class TestExactTv:
