@@ -19,6 +19,7 @@ from .coupling import (
     build_dag,
     evaluate_failure_mass,
     failure_mass_table,
+    failure_masses,
     failure_probability,
     lower_bound,
     sample_failed_trajectory,
@@ -44,6 +45,7 @@ from .estimator import (
     TvEstimate,
     approximate_tv,
     f_value,
+    f_values,
     sample_count,
     theoretical_gamma,
 )
@@ -51,6 +53,7 @@ from .model import (
     Mixture,
     instance_document,
     mass,
+    masses,
     parse_instance,
     suffix_mass,
     validate_mixture,
@@ -110,13 +113,16 @@ __all__ = [
     "evaluate_failure_mass",
     "exact_subcube_tv",
     "f_value",
+    "f_values",
     "failure_mass_table",
+    "failure_masses",
     "failure_probability",
     "generate_3cnf_instance",
     "instance_document",
     "lower_bound",
     "mass",
     "mass_table",
+    "masses",
     "parse_dimacs",
     "parse_instance",
     "random_instance",

@@ -12,8 +12,10 @@ state; the walk over states is a layered DAG with three transition kinds:
   one previously active component becomes inactive;
 * Type-III -- mismatch ``(c, c')``, absorbing failure sink.
 
-Dynamic programs over the DAG answer the discrepancy, conditional-sampling,
-and evaluation queries used by the Monte Carlo estimator.  A direct
+Dynamic programs over the DAG answer the discrepancy and conditional-sampling
+queries used by the Monte Carlo estimator; the evaluation query is one
+forward pass per block of configurations over the states whose paths agree
+with them.  A direct
 trajectory simulator (:func:`simulate_coupling`) provides an independent
 path for statistical cross-validation of the DAG.
 """
@@ -33,7 +35,7 @@ from .errors import (
     TooLarge,
     ZeroDiscrepancy,
 )
-from .model import Mixture, as_configuration, check_same_domain
+from .model import Mixture, as_configuration, as_configurations, check_same_domain
 
 
 # ---------------------------------------------------------------------------
@@ -480,48 +482,77 @@ def failure_probability(dag: CouplingDag) -> float:
     return float(layers[0].pfail[0])
 
 
-def _suffix_products(comp: np.ndarray, cfg: np.ndarray) -> np.ndarray:
-    """sp[s, i] = prod_{u >= i} comp[s, u, cfg[u]], with sp[s, n] = 1."""
-    k, n = comp.shape[0], cfg.shape[0]
-    sp = np.ones((k, n + 1))
-    if n:
-        vals = comp[:, np.arange(n), cfg]
-        sp[:, :n] = np.cumprod(vals[:, ::-1], axis=1)[:, ::-1]
-    return sp
+# Configurations per failure_masses call in failure_mass_table, and draws per
+# block in the estimator.  It bounds the memory of one call: its frontier
+# arrays hold one entry per (configuration, frontier state) of a layer.
+BLOCK = 256
+
+
+def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndarray:
+    """Failure mass of each configuration row of a ``(B, n)`` block.
+
+    Row ``b`` is the probability that the coupling fails with first sample
+    exactly ``sigmas[b]``.  Only states whose path symbols are each 0 or
+    ``sigma_j + 1`` (the sigma-frontier) carry that mass, so one forward
+    pass carries ``(row of sigmas, state row, reach)`` triples layer by
+    layer, where reach is the product of the matching edge weights from the
+    root.  Each state has exactly one parent, so triples never merge.  At
+    layer ``j`` a triple fails with mass ``reach * res_p[row, sigma_j]``,
+    split over the P-side components by ``upd_alpha[row, :, sigma_j]``;
+    component ``s``'s share is then carried forward times
+    ``components[s, i, sigma_i]`` at every later coordinate ``i`` (Horner's
+    rule for the suffix probabilities, so no per-layer suffix table is
+    stored).  Every sum runs over one row's own terms in a fixed order, so a
+    row's value does not depend on the other rows of the block.
+    """
+    cfgs = as_configurations(dag.mix_p, sigmas)
+    n_cfg, n = cfgs.shape
+    comp = dag.mix_p.components
+    # tails[b, s]: mass that failed at an earlier layer with P-side component
+    # s, times component s's probability of sigma_b's coordinates since then.
+    tails = np.zeros((n_cfg, comp.shape[0]))
+    idx = np.arange(n_cfg)
+    rows = np.zeros(n_cfg, dtype=np.int64)
+    reach = np.ones(n_cfg)
+    for depth in range(n):
+        lay = dag._layers[depth]
+        c = cfgs[idx, depth]
+        tails *= comp[:, depth, cfgs[:, depth]].T
+        failed = reach * lay.res_p[rows, c]
+        upd = lay.upd_alpha[rows, :, c]
+        for s in range(comp.shape[0]):
+            tails[:, s] += np.bincount(idx, weights=failed * upd[:, s], minlength=n_cfg)
+        w1 = lay.w1[rows, c]
+        child2 = lay.child2[rows, c]
+        go1, go2 = w1 > 0.0, child2 >= 0
+        idx = np.concatenate([idx[go1], idx[go2]])
+        reach = np.concatenate([reach[go1] * w1[go1], reach[go2] * lay.w2[rows[go2], c[go2]]])
+        rows = np.concatenate([lay.child1[rows[go1]], child2[go2]])
+    total = tails[:, 0].copy()
+    for s in range(1, comp.shape[0]):
+        total += tails[:, s]
+    return total
 
 
 def evaluate_failure_mass(dag: CouplingDag, sigma: Sequence[int]) -> float:
     """Probability that the coupling fails with first sample exactly ``sigma``.
 
-    Backward DP restricted to edges whose value label matches ``sigma`` at
-    each layer; a Type-III edge at layer ``j`` contributes its residual mass
-    times the suffix probability of ``sigma[j:]`` under the reweighted
-    P-side components.
+    A validated one-row :func:`failure_masses` call.
     """
-    cfg = as_configuration(dag.mix_p, sigma)
-    layers = dag._layers
-    sp = _suffix_products(dag.mix_p.components, cfg)
-    psi = np.zeros(layers[-1].size)
-    for depth in range(dag.n - 1, -1, -1):
-        lay = layers[depth]
-        c = int(cfg[depth])
-        t1 = lay.w1[:, c] * _gather(psi, lay.child1)
-        t2 = lay.w2[:, c] * _gather(psi, lay.child2[:, c])
-        tau = lay.upd_alpha[:, :, c] @ sp[:, depth + 1]
-        psi = t1 + t2 + lay.res_p[:, c] * tau
-    return float(psi[0])
+    return float(failure_masses(dag, as_configuration(dag.mix_p, sigma)[None, :])[0])
 
 
 def failure_mass_table(dag: CouplingDag, max_configs: int = 2**14) -> np.ndarray:
     """Failure mass of every configuration in lexicographic order (size-guarded).
 
-    One :func:`evaluate_failure_mass` call per configuration.
+    One :func:`failure_masses` call per :data:`BLOCK` configurations.
     """
     total = dag.q**dag.n
     if total > max_configs:
         raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
-    return np.array(
-        [evaluate_failure_mass(dag, cfg) for cfg in product(range(dag.q), repeat=dag.n)]
+    configs = np.array(list(product(range(dag.q), repeat=dag.n)), dtype=np.int64)
+    return np.concatenate(
+        [failure_masses(dag, configs[i : i + BLOCK]) for i in range(0, total, BLOCK)]
     )
 
 
@@ -561,6 +592,20 @@ def _pick_index(rng: np.random.Generator, cumulative: np.ndarray) -> int:
     return slot
 
 
+def _pick_rows(rng: np.random.Generator, cumulative: np.ndarray) -> np.ndarray:
+    """:func:`_pick_index` on each row of ``cumulative``, from one draw of doubles.
+
+    ``rng.random(r)`` yields the same doubles as ``r`` scalar calls.  The
+    slot is the count of entries at most the target, with the target held
+    just below the row total: :func:`_pick_index`'s edge clip and tie rule
+    act only on a target at or above the total, and then pick the first
+    entry equal to the total, which is that same count.
+    """
+    total = cumulative[:, -1]
+    target = np.minimum(rng.random(cumulative.shape[0]) * total, np.nextafter(total, -np.inf))
+    return (cumulative <= target[:, None]).sum(axis=1)
+
+
 def sample_failed_trajectory(dag: CouplingDag, rng: np.random.Generator) -> tuple[int, ...]:
     """One sample of the first coordinate sequence conditioned on failure.
 
@@ -588,8 +633,8 @@ def sample_failed_trajectory(dag: CouplingDag, rng: np.random.Generator) -> tupl
         else:
             weights = dag._layers[depth].upd_alpha[row, :, c]
             s = _pick_index(rng, np.cumsum(weights))
-            for i in range(depth + 1, n):
-                out.append(_pick_index(rng, np.cumsum(comp[s, i])))
+            if depth + 1 < n:
+                out.extend(_pick_rows(rng, np.cumsum(comp[s, depth + 1 :], axis=1)).tolist())
             return tuple(out)
         depth += 1
 

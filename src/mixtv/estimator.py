@@ -6,8 +6,9 @@ averaged over samples of the first coordinate sequence conditioned on the
 coupling failing.  With the theoretical sample count the result lies within
 a ``(1 +/- epsilon)`` factor of the true distance with probability at least
 99%.  Each repetition is one sequential loop over blocks of draws: draw the
-failed trajectories of a block, evaluate the integrand once per distinct
-configuration, and add the values to the running sum in draw order.
+failed trajectories of a block, evaluate the integrand on the whole block
+with one batched call (:func:`f_values`), and add the values to the running
+sum in draw order.
 """
 
 from __future__ import annotations
@@ -21,22 +22,24 @@ from typing import Sequence
 import numpy as np
 
 from .coupling import (
+    BLOCK,
     CouplingDag,
     build_dag,
-    evaluate_failure_mass,
+    failure_masses,
     failure_probability,
     sample_failed_trajectory,
 )
 from .errors import FactViolation, ShapeMismatch, TooLarge, ZeroDenominator
-from .model import Mixture, mass
+from .model import Mixture, as_configuration, as_configurations, masses
+
+# The one-configuration forms of what f_values computes.  The estimator does
+# not call them, but they stay bound here: perfbench/tracing.py wraps them on
+# this module.
+from .coupling import evaluate_failure_mass  # noqa: F401
+from .model import mass  # noqa: F401
 
 # Ratios may exceed 1 by at most this before they count as a coupling bug.
 CLAMP_TOL = 1e-9
-# Draws per block.  f is deterministic, so it is evaluated once per distinct
-# configuration of a block: on tiny domains most draws repeat ({0,1}^2 has 4
-# configurations), on large ones nearly every draw is new.  The block bounds
-# the memory this takes.
-BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -102,20 +105,35 @@ def _describe(omega: Sequence[int]) -> str:
     return f"sigma of length n={len(omega)} starting ({head}{', ...' if len(omega) > 8 else ''})"
 
 
-def f_value(p: Mixture, q: Mixture, dag: CouplingDag, omega: Sequence[int]) -> float:
-    """The estimator integrand at ``omega``, clamped to [0, 1].
+def f_values(
+    p: Mixture, q: Mixture, dag: CouplingDag, omegas: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """The estimator integrand at each configuration row of ``omegas``, clamped to [0, 1].
 
     The ratio ``max(0, P - Q) / failure mass`` never exceeds 1 for any
     coupling; an excess beyond 1e-9 therefore raises :class:`FactViolation`
-    instead of being absorbed.
+    instead of being absorbed.  A row with zero failure mass raises
+    :class:`ZeroDenominator`.  Either error names the first offending row.
     """
-    denom = evaluate_failure_mass(dag, omega)
-    if denom <= 0.0:
-        raise ZeroDenominator(f"{_describe(omega)} has zero failure mass")
-    ratio = max(0.0, mass(p, omega) - mass(q, omega)) / denom
-    if ratio > 1.0 + CLAMP_TOL:
-        raise FactViolation(f"f at {_describe(omega)} is {ratio!r}, above 1 + {CLAMP_TOL}")
-    return min(ratio, 1.0)
+    cfgs = as_configurations(p, omegas)
+    denom = failure_masses(dag, cfgs)
+    zero = denom <= 0.0
+    excess = np.maximum(0.0, masses(p, cfgs) - masses(q, cfgs))
+    ratio = np.divide(excess, denom, out=np.zeros_like(denom), where=~zero)
+    bad = zero | (ratio > 1.0 + CLAMP_TOL)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if zero[first]:
+            raise ZeroDenominator(f"{_describe(cfgs[first])} has zero failure mass")
+        raise FactViolation(
+            f"f at {_describe(cfgs[first])} is {float(ratio[first])!r}, above 1 + {CLAMP_TOL}"
+        )
+    return np.minimum(ratio, 1.0)
+
+
+def f_value(p: Mixture, q: Mixture, dag: CouplingDag, omega: Sequence[int]) -> float:
+    """The estimator integrand at ``omega``: a one-row :func:`f_values` call."""
+    return float(f_values(p, q, dag, as_configuration(p, omega)[None, :])[0])
 
 
 def approximate_tv(
@@ -164,9 +182,8 @@ def approximate_tv(
             omegas = [
                 sample_failed_trajectory(dag, rng) for _ in range(min(BLOCK, draws - start))
             ]
-            fvals = {omega: f_value(p, q, dag, omega) for omega in dict.fromkeys(omegas)}
-            for omega in omegas:
-                acc += fvals[omega]
+            for value in f_values(p, q, dag, omegas).tolist():
+                acc += value
         fbars.append(acc / draws)
     fbar = statistics.median(fbars)
     return TvEstimate(

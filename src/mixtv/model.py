@@ -154,6 +154,16 @@ def as_configuration(m: Mixture, values: Sequence[int], length: int | None = Non
     return cfg
 
 
+def as_configurations(m: Mixture, values: Sequence[Sequence[int]]) -> np.ndarray:
+    """Coerce ``values`` to a ``(B, n)`` int array of configurations and range-check it."""
+    cfgs = np.asarray(values, dtype=np.int64)
+    if cfgs.ndim != 2 or cfgs.shape[1] != m.n:
+        raise ShapeMismatch(f"configuration block of shape {cfgs.shape} for n={m.n}")
+    if cfgs.size and ((cfgs < 0).any() or (cfgs >= m.q).any()):
+        raise ShapeMismatch(f"configuration values must lie in 0..{m.q - 1}")
+    return cfgs
+
+
 def suffix_mass(m: Mixture, j: int, weights: Sequence[float], suffix: Sequence[int]) -> float:
     """Probability of a suffix under the mixture reweighted by ``weights``.
 
@@ -194,13 +204,30 @@ def suffix_mass(m: Mixture, j: int, weights: Sequence[float], suffix: Sequence[i
     return float(total)
 
 
+def masses(m: Mixture, configs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Probability mass of each configuration row of a ``(B, n)`` block.
+
+    Coordinates are multiplied left to right and components added in
+    ascending index, so row ``b`` is bit-identical to
+    ``suffix_mass(m, 1, m.weights, configs[b])``.
+    """
+    cfgs = as_configurations(m, configs)
+    prods = np.ones((m.k, cfgs.shape[0]))
+    for i in range(m.n):
+        prods *= m.components[:, i, cfgs[:, i]]
+    total = np.zeros(cfgs.shape[0])
+    for s in range(m.k):
+        total += m.weights[s] * prods[s]
+    return total
+
+
 def mass(m: Mixture, omega: Sequence[int]) -> float:
     """Probability mass of a full configuration, ``sum_s w_s prod_i P_i^s(omega_i)``.
 
     Evaluates in O(nk) arithmetic operations and is exactly
     ``suffix_mass(m, 1, m.weights, omega)`` (same arithmetic order).
     """
-    return suffix_mass(m, 1, m.weights, omega)
+    return float(masses(m, as_configuration(m, omega)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +266,22 @@ class TestReports:
             assert code == 3, args[0]
             assert out == ""
             assert json.loads(err)["error"] == "validation"
+
+    def test_python_dash_m_prints_the_same_report(self, capsys, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        args = ["exact-subcube", "--input", "instances/smoke-subcube-n4.json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixtv", *args],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        monkeypatch.chdir(root)
+        code, out, _ = run_cli(capsys, args)
+        assert (proc.returncode, code) == (0, 0)
+        assert proc.stdout == out
 
     def test_usage_error_detail_is_json(self, capsys):
         code, out, err = run_cli(capsys, ["frobnicate"])

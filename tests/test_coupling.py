@@ -2,9 +2,79 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixtv as mx
+from mixtv import coupling
 from conftest import lex_configs, mixture, point_mass, uniform_bits
+
+
+@st.composite
+def general_pairs(draw):
+    """General pairs with n <= 5, q <= 3 and k1, k2 <= 3, built from small
+    integers: many marginals and weights are exactly zero, so Type-I children
+    often exist while the Type-I weight of a value is 0."""
+    n = draw(st.integers(1, 5))
+    q = draw(st.integers(2, 3))
+    row = st.lists(st.integers(0, 3), min_size=q, max_size=q).filter(any)
+
+    def side():
+        k = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        rows = draw(st.lists(row, min_size=k * n, max_size=k * n))
+        comps = [[[v / sum(r) for v in r] for r in rows[s * n : (s + 1) * n]] for s in range(k)]
+        return mixture([w / sum(raw) for w in raw], comps)
+
+    return side(), side()
+
+
+def dense_failure_mass(dag, sigma):
+    """Failure mass of ``sigma`` by a backward DP over every state of the DAG."""
+    comp = dag.mix_p.components
+    suffix = np.ones((comp.shape[0], dag.n + 1))
+    for i in range(dag.n - 1, -1, -1):
+        suffix[:, i] = comp[:, i, sigma[i]] * suffix[:, i + 1]
+    psi = np.zeros(dag._layers[-1].size)
+    for depth in range(dag.n - 1, -1, -1):
+        lay, c = dag._layers[depth], sigma[depth]
+        t1 = lay.w1[:, c] * coupling._gather(psi, lay.child1)
+        t2 = lay.w2[:, c] * coupling._gather(psi, lay.child2[:, c])
+        psi = t1 + t2 + lay.res_p[:, c] * (lay.upd_alpha[:, :, c] @ suffix[:, depth + 1])
+    return float(psi[0])
+
+
+def scalar_trajectory(dag, rng):
+    """The failure-conditioned walk with one scalar draw per tail coordinate."""
+    tables = coupling._walk_tables(dag)
+    comp = dag.mix_p.components
+    out, depth, row = [], 0, 0
+    while True:
+        band, c = divmod(coupling._pick_index(rng, tables[depth][row]), dag.q)
+        out.append(c)
+        lay = dag._layers[depth]
+        if band == 0:
+            row = int(lay.child1[row])
+        elif band == 1:
+            row = int(lay.child2[row, c])
+        else:
+            s = coupling._pick_index(rng, np.cumsum(lay.upd_alpha[row, :, c]))
+            for i in range(depth + 1, dag.n):
+                out.append(coupling._pick_index(rng, np.cumsum(comp[s, i])))
+            return tuple(out)
+        depth += 1
+
+
+class ScriptedRng:
+    """Stands in for a Generator: ``random`` returns the scripted values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
 
 
 class TestLowerBound:
@@ -308,6 +378,31 @@ class TestEvaluateFailureMass:
         with pytest.raises(mx.ShapeMismatch):
             mx.evaluate_failure_mass(dag, (0, 0, 0))
 
+    def test_batch_rejects_bad_blocks(self, uniform2, point00):
+        dag = mx.build_dag(uniform2, point00)
+        for block in ([0, 1], [[0, 1, 0]], [[0, 2]], [[0, 1], [-1, 0]]):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.failure_masses(dag, block)
+        assert mx.failure_masses(dag, np.zeros((0, 2), dtype=int)).shape == (0,)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(general_pairs())
+    def test_batched_masses_sum_and_integrate_to_the_references(self, pair):
+        p, q = pair
+        dag = mx.build_dag(p, q)
+        configs = np.array(lex_configs(p.n, p.q))
+        masses = mx.failure_masses(dag, configs)
+        dense = [dense_failure_mass(dag, cfg) for cfg in configs]
+        assert masses.tolist() == pytest.approx(dense, rel=1e-12, abs=1e-15)
+        assert masses.sum() == pytest.approx(mx.failure_probability(dag), abs=1e-12)
+        hit = masses > 0.0
+        f = mx.f_values(p, q, dag, configs[hit]) if hit.any() else np.zeros(0)
+        assert (masses[hit] * f).sum() == pytest.approx(mx.brute_force_tv(p, q), abs=1e-9)
+        perm = np.random.default_rng(0).permutation(len(configs))
+        assert mx.failure_masses(dag, configs[perm]).tolist() == masses[perm].tolist()
+        for cfg, value in zip(configs, masses):
+            assert mx.failure_masses(dag, cfg[None, :])[0] == value
+
 
 class TestSampleFailedTrajectory:
     def test_deterministic_single_failure(self):
@@ -360,6 +455,33 @@ class TestSampleFailedTrajectory:
             else:
                 se = (pi * (1 - pi) / n_draws) ** 0.5
                 assert abs(emp - pi) <= 3 * se
+
+    @pytest.mark.parametrize("family", ["general", "subcube"])
+    def test_tail_draws_match_scalar_draws(self, family):
+        # The subcube pair has marginals 0 and 1, so its cumulative rows tie.
+        p, q = mx.random_instance(6, 2 if family == "subcube" else 3, 3, 2, seed=8, family=family)
+        dag = mx.build_dag(p, q)
+        vector, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(10_000):
+            assert mx.sample_failed_trajectory(dag, vector) == scalar_trajectory(dag, scalar)
+        assert vector.random() == scalar.random()
+
+    def test_pick_rows_keeps_the_edge_and_tie_rules(self):
+        cumulative = np.cumsum(
+            [
+                [0.0, 0.5, 0.5],
+                [0.5, 0.0, 0.5],
+                [0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0],
+                [0.2, 0.3, 0.0],
+                [0.0, 0.0, 0.0],
+            ],
+            axis=1,
+        )
+        for u in (0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0):
+            rows = coupling._pick_rows(ScriptedRng([u] * len(cumulative)), cumulative)
+            expect = [coupling._pick_index(ScriptedRng([u]), row) for row in cumulative]
+            assert rows.tolist() == expect
 
     def test_sampling_is_thread_safe(self, uniform2, point00):
         # No shared mutable state: per-thread streams reproduce the

@@ -67,6 +67,23 @@ class TestFValue:
         with pytest.raises(mx.FactViolation):
             mx.f_value(wrong_p, point00, dag, (1, 1))
 
+    def test_block_rows_equal_single_calls(self):
+        p, q = mx.random_instance(3, 3, 2, 2, seed=52)
+        dag = mx.build_dag(p, q)
+        configs = [c for c in lex_configs(3, 3) if mx.evaluate_failure_mass(dag, c) > 0]
+        block = mx.f_values(p, q, dag, configs[::-1])
+        assert block.tolist() == [mx.f_value(p, q, dag, c) for c in configs[::-1]]
+
+    def test_block_names_the_first_offending_sigma(self, uniform2, point00):
+        dag = mx.build_dag(uniform2, point00)
+        with pytest.raises(mx.ZeroDenominator, match=r"starting \(0, 0\)"):
+            mx.f_values(uniform2, point00, dag, [(1, 1), (0, 0), (0, 1)])
+        wrong_p = point_mass((1, 1))
+        with pytest.raises(mx.FactViolation, match=r"starting \(1, 1\)"):
+            mx.f_values(wrong_p, point00, dag, [(0, 1), (1, 1), (0, 0)])
+        with pytest.raises(mx.ZeroDenominator):
+            mx.f_values(wrong_p, point00, dag, [(0, 0), (1, 1)])
+
     def test_range_on_random_instances(self):
         for seed in range(10):
             p, q = mx.random_instance(3, 3, 2, 2, seed=50 + seed)

@@ -72,6 +72,18 @@ class TestMass:
         with pytest.raises(mx.ShapeMismatch):
             mx.mass(uniform_bits(2), (0, 2))
 
+    def test_block_rows_equal_suffix_mass(self):
+        p, _ = mx.random_instance(4, 3, 3, 1, seed=12)
+        configs = lex_configs(4, 3)
+        block = mx.masses(p, configs[::-1])
+        assert block.tolist() == [mx.suffix_mass(p, 1, p.weights, c) for c in configs[::-1]]
+
+    def test_block_rejects_bad_shapes(self):
+        m = uniform_bits(2)
+        for block in ([0, 1], [[0, 1, 1]], [[0, 2]], [[0, 1], [-1, 0]]):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.masses(m, block)
+
     def test_multilinear_in_weights(self):
         comps = [[[0.2, 0.8], [0.6, 0.4]], [[0.9, 0.1], [0.3, 0.7]]]
         a = np.array([0.3, 0.7])
