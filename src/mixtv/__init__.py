@@ -21,10 +21,8 @@ from .coupling import (
     failure_mass_table,
     failure_masses,
     failure_probability,
-    lower_bound,
     sample_failed_trajectory,
     simulate_coupling,
-    update_weights,
 )
 from .errors import (
     FactViolation,
@@ -119,7 +117,6 @@ __all__ = [
     "failure_probability",
     "generate_3cnf_instance",
     "instance_document",
-    "lower_bound",
     "mass",
     "mass_table",
     "masses",
@@ -131,6 +128,5 @@ __all__ = [
     "simulate_coupling",
     "suffix_mass",
     "theoretical_gamma",
-    "update_weights",
     "validate_mixture",
 ]

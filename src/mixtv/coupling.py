@@ -4,8 +4,10 @@ The coupling walks the coordinates left to right.  At each coordinate it
 extracts the probability mass shared by every active component of both
 mixtures (the per-value lower bound), matches as much of the remainder as
 possible under reweighted components, and couples whatever is left as a
-mismatch.  Each reachable combination of (coordinate, reweighting) is a
-state; the walk over states is a layered DAG with three transition kinds:
+mismatch.  A state is a (coordinate, reweighting) pair: all paths that reach
+one coordinate with byte-equal reweightings share one state, so the DAG
+holds one state per distinct reweighting of each layer.  The walk over
+states is a layered DAG with three transition kinds:
 
 * Type-I   -- shared mass, both samples take value ``c``, weights unchanged;
 * Type-II  -- matched remainder at value ``c``, weights reweighted, at least
@@ -39,84 +41,6 @@ from .model import Mixture, as_configuration, as_configurations, check_same_doma
 
 
 # ---------------------------------------------------------------------------
-# Per-value lower bound and component reweighting
-# ---------------------------------------------------------------------------
-
-
-def lower_bound(
-    p: Mixture,
-    q: Mixture,
-    j: int,
-    alpha_bar: Sequence[float],
-    beta_bar: Sequence[float],
-    c: int,
-) -> float:
-    """Shared lower bound on the coordinate-``j`` marginals at value ``c``.
-
-    Returns the minimum of ``p.components[s, j-1, c]`` over active ``s``
-    (``alpha_bar[s] > 0``) and ``q.components[t, j-1, c]`` over active
-    ``t``.  The result is bit-identical to one of the stored marginals:
-    it is a true minimum of stored values, never recomputed, which is what
-    guarantees an exact zero in the reweighting below.
-    """
-    check_same_domain(p, q)
-    if not 1 <= j <= p.n:
-        raise ShapeMismatch(f"coordinate j={j} outside 1..{p.n}")
-    if not 0 <= c < p.q:
-        raise ShapeMismatch(f"value c={c} outside 0..{p.q - 1}")
-    a = np.asarray(alpha_bar, dtype=float)
-    b = np.asarray(beta_bar, dtype=float)
-    if a.shape != (p.k,) or b.shape != (q.k,):
-        raise ShapeMismatch("reweighting vectors do not match the component counts")
-    act_a, act_b = a > 0.0, b > 0.0
-    if not act_a.any() or not act_b.any():
-        raise NoActiveComponent("a side of the coupling has no active component")
-    return float(
-        min(p.components[act_a, j - 1, c].min(), q.components[act_b, j - 1, c].min())
-    )
-
-
-def _updated_weights(w: np.ndarray, margs: np.ndarray, ell: float) -> np.ndarray:
-    """Reweight ``w`` by the marginal excess over ``ell`` at one value.
-
-    When no active component has a marginal strictly above ``ell`` the
-    excess is identically zero and the weights are returned unchanged
-    (the degenerate case; tested structurally rather than via a float
-    comparison of the aggregated marginal).  Otherwise a component whose
-    marginal equals ``ell`` exactly gets weight exactly 0.0.
-    """
-    act = w > 0.0
-    if not (margs[act] > ell).any():
-        return w.copy()
-    den = float(w @ margs) - ell
-    if den <= 0.0:  # rounding corner: exact arithmetic says den > 0
-        return w.copy()
-    return w * (margs - ell) / den
-
-
-def update_weights(
-    p: Mixture,
-    q: Mixture,
-    j: int,
-    alpha_bar: Sequence[float],
-    beta_bar: Sequence[float],
-    c: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reweighted component vectors after matching value ``c`` at coordinate ``j``.
-
-    Applies ``w_s * (marg_s - ell) / (wbar - ell)`` on each side, where
-    ``ell`` is :func:`lower_bound` and ``wbar`` the aggregated marginal;
-    each side is returned unchanged when its excess over ``ell`` vanishes.
-    """
-    ell = lower_bound(p, q, j, alpha_bar, beta_bar, c)
-    a = np.asarray(alpha_bar, dtype=float)
-    b = np.asarray(beta_bar, dtype=float)
-    new_a = _updated_weights(a, p.components[:, j - 1, c], ell)
-    new_b = _updated_weights(b, q.components[:, j - 1, c], ell)
-    return new_a, new_b
-
-
-# ---------------------------------------------------------------------------
 # DAG construction
 # ---------------------------------------------------------------------------
 
@@ -131,10 +55,11 @@ class TransitionKind(str, Enum):
 class State:
     """A reachable coupling state: coordinate layer plus current reweightings.
 
-    ``path_key`` encodes the choices from the root: symbol 0 for a Type-I
-    step, symbol ``c + 1`` for a Type-II step at value ``c``.  States are
-    identified by their path key, never by float equality of the weight
-    vectors.
+    A state is its layer plus the bytes of its reweightings: paths that
+    reach a layer with byte-equal ``(alpha_bar, beta_bar)`` share one state
+    (exact equality, no float tolerance).  ``path_key`` is the state's
+    first-created path from the root, which names it uniquely: symbol 0 for
+    a Type-I step, symbol ``c + 1`` for a Type-II step at value ``c``.
     """
 
     layer: int  # 1-based; layer n + 1 holds the terminal states
@@ -162,6 +87,7 @@ class _Layer:
 
     alpha: np.ndarray  # (M, k1) current P-side weights
     beta: np.ndarray  # (M, k2)
+    # parent and symbol describe the last edge of the state's first-created path
     parent: np.ndarray  # (M,) row in the previous layer; -1 for the root
     symbol: np.ndarray  # (M,) path-key symbol appended by the edge from the parent
     # Transition tables, absent on the terminal layer:
@@ -355,6 +281,48 @@ class CouplingDag:
         return {"statistics": self.statistics(), "states": states, "transitions": transitions}
 
 
+def _row_hash(bits: np.ndarray) -> np.ndarray:
+    """64-bit hash of each row of a ``(M, d)`` uint64 block; every bit counts."""
+    mult, shift = np.uint64(0x9E3779B97F4A7C15), np.uint64(29)
+    h = np.zeros(bits.shape[0], dtype=np.uint64)
+    for col in bits.T:  # array-only uint64 arithmetic wraps without warnings
+        h ^= col
+        h *= mult
+        h ^= h >> shift
+    return h
+
+
+def _merge_equal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge byte-equal rows of a float64 ``(M, d)`` block, keeping creation order.
+
+    Returns ``(keep, index)``: ``keep`` marks the rows that stay states (the
+    first-created row of each set of byte-equal rows), and ``index[m]`` is
+    the position among the kept rows of the state row ``m`` merges into.
+    Rows are grouped by a 64-bit hash that mixes every bit of every entry,
+    then compared byte for byte against their group's first-created row; a
+    row whose hash collides with a different row stays its own state, so a
+    collision costs one state, never a wrong merge.
+    """
+    m = rows.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+    bits = rows.view(np.uint64)
+    h = _row_hash(bits)
+    order = np.argsort(h)
+    hs = h[order]
+    new_group = np.empty(m, dtype=bool)
+    new_group[0] = True
+    np.not_equal(hs[1:], hs[:-1], out=new_group[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new_group))
+    rep = np.empty(m, dtype=np.int64)
+    rep[order] = first[np.cumsum(new_group) - 1]
+    dup = np.flatnonzero(rep != np.arange(m))
+    differ = dup[(bits[dup] != bits[rep[dup]]).any(axis=1)]
+    rep[differ] = differ
+    keep = rep == np.arange(m)
+    return keep, (np.cumsum(keep) - 1)[rep]
+
+
 def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> CouplingDag:
     """Expand the recursive coupling of ``p`` and ``q`` breadth-first by layer.
 
@@ -363,18 +331,26 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     reweighted child, and Type-III edges to the failure sink with the
     proportional residual rule ``w(c, c') = res_p(c) * res_q(c') / R``.
     Zero-weight edges are never materialized; all Type-I edges of a state
-    share one child; children are deduplicated by path key.
+    share one child.  The children of a layer whose ``[alpha | beta]`` rows
+    are byte-equal are merged into the first-created one, which keeps its
+    ``parent`` and ``symbol``.  Byte-equal rows get byte-equal tables, so the
+    merge changes no edge weight, failure probability or sampled value.
+    Weights are stored with canonical zeros (never ``-0.0``), so equal
+    reweightings are byte-equal.
 
     Parameters
     ----------
     max_states : int, optional
-        Abort with :class:`TooLarge` when the state count would exceed this.
+        Abort with :class:`TooLarge` when the (merged) state count would
+        exceed this; a value below 1 is a :class:`ShapeMismatch`.
     """
     check_same_domain(p, q)
+    if max_states is not None and max_states < 1:
+        raise ShapeMismatch(f"max_states must be at least 1, got {max_states}")
     n, qq = p.n, p.q
     root = _Layer(
-        alpha=p.weights[None, :].copy(),
-        beta=q.weights[None, :].copy(),
+        alpha=p.weights[None, :] + 0.0,  # + 0.0 turns a -0.0 weight into +0.0
+        beta=q.weights[None, :] + 0.0,
         parent=np.array([-1], dtype=np.int64),
         symbol=np.array([-1], dtype=np.int16),
     )
@@ -413,9 +389,12 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         lay.res_q = np.maximum(qbar - pbar, 0.0)
         lay.res_total = lay.res_p.sum(axis=1)
 
+        # An inactive component may have a marginal below ell; clamping its
+        # excess at +0.0 keeps its reweighted weight +0.0 instead of -0.0.
+        # Active components have marginals at least ell, so theirs is exact.
         den_p = pbar - ell
         ok_p = ~deg_p & (den_p > 0.0)
-        num_a = a[:, :, None] * (pj[None, :, :] - ell[:, None, :])
+        num_a = a[:, :, None] * np.maximum(pj[None, :, :] - ell[:, None, :], 0.0)
         quot_a = np.divide(
             num_a, den_p[:, None, :], out=np.zeros_like(num_a), where=ok_p[:, None, :]
         )
@@ -423,7 +402,7 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
 
         den_q = qbar - ell
         ok_q = ~deg_q & (den_q > 0.0)
-        num_b = b[:, :, None] * (qj[None, :, :] - ell[:, None, :])
+        num_b = b[:, :, None] * np.maximum(qj[None, :, :] - ell[:, None, :], 0.0)
         quot_b = np.divide(
             num_b, den_q[:, None, :], out=np.zeros_like(num_b), where=ok_q[:, None, :]
         )
@@ -432,14 +411,18 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         has1 = lay.w1.sum(axis=1) > 0.0
         n1 = int(has1.sum())
         par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
-        n2 = par2.size
 
+        # Children in creation order: Type-I children by parent, then
+        # Type-II children by (parent, value).
+        alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
+        beta = np.concatenate([b[has1], upd_beta[par2, :, c2]], axis=0)
+        keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
         lay.child1 = np.full(m_here, -1, dtype=np.int64)
-        lay.child1[has1] = np.arange(n1)
+        lay.child1[has1] = index[:n1]
         lay.child2 = np.full((m_here, qq), -1, dtype=np.int64)
-        lay.child2[par2, c2] = n1 + np.arange(n2)
+        lay.child2[par2, c2] = index[n1:]
 
-        count += n1 + n2
+        count += int(keep.sum())
         if max_states is not None and count > max_states:
             raise TooLarge(
                 f"state count exceeded max_states={max_states} at layer {depth + 2}"
@@ -447,12 +430,12 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
 
         layers.append(
             _Layer(
-                alpha=np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0),
-                beta=np.concatenate([b[has1], upd_beta[par2, :, c2]], axis=0),
-                parent=np.concatenate([np.flatnonzero(has1), par2]),
+                alpha=alpha[keep],
+                beta=beta[keep],
+                parent=np.concatenate([np.flatnonzero(has1), par2])[keep],
                 symbol=np.concatenate(
                     [np.zeros(n1, dtype=np.int16), (c2 + 1).astype(np.int16)]
-                ),
+                )[keep],
             )
         )
 
@@ -492,11 +475,13 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
     """Failure mass of each configuration row of a ``(B, n)`` block.
 
     Row ``b`` is the probability that the coupling fails with first sample
-    exactly ``sigmas[b]``.  Only states whose path symbols are each 0 or
+    exactly ``sigmas[b]``.  Only paths whose symbols are each 0 or
     ``sigma_j + 1`` (the sigma-frontier) carry that mass, so one forward
     pass carries ``(row of sigmas, state row, reach)`` triples layer by
-    layer, where reach is the product of the matching edge weights from the
-    root.  Each state has exactly one parent, so triples never merge.  At
+    layer, one per such path, where reach is the product of the path's edge
+    weights.  Two such paths of one row may reach one merged state; their
+    triples are kept apart, so each row's sums keep the terms and the order
+    they have on the tree of paths.  At
     layer ``j`` a triple fails with mass ``reach * res_p[row, sigma_j]``,
     split over the P-side components by ``upd_alpha[row, :, sigma_j]``;
     component ``s``'s share is then carried forward times
@@ -547,6 +532,8 @@ def failure_mass_table(dag: CouplingDag, max_configs: int = 2**14) -> np.ndarray
 
     One :func:`failure_masses` call per :data:`BLOCK` configurations.
     """
+    if max_configs < 1:
+        raise ShapeMismatch(f"max_configs must be at least 1, got {max_configs}")
     total = dag.q**dag.n
     if total > max_configs:
         raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")

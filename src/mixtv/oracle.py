@@ -43,11 +43,18 @@ def _block_masses(m: Mixture, block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_config_count(total: int, max_configs: int) -> None:
+    """Reject a limit below 1 as bad input, and a ``total`` above it as too large."""
+    if max_configs < 1:
+        raise ShapeMismatch(f"max_configs must be at least 1, got {max_configs}")
+    if total > max_configs:
+        raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
+
+
 def mass_table(m: Mixture, max_configs: int = 2**24) -> np.ndarray:
     """Mass of every configuration in lexicographic order (size-guarded)."""
     total = m.q**m.n
-    if total > max_configs:
-        raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
+    _check_config_count(total, max_configs)
     out = np.empty(total)
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
@@ -59,8 +66,7 @@ def brute_force_tv(p: Mixture, q: Mixture, max_configs: int = 2**24) -> float:
     """Total variation distance by full enumeration: sum of max(0, P - Q)."""
     check_same_domain(p, q)
     total = p.q**p.n
-    if total > max_configs:
-        raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
+    _check_config_count(total, max_configs)
     acc = 0.0
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)

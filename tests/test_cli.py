@@ -135,6 +135,15 @@ class TestExactAndBrute:
         assert code == 4
         assert json.loads(err)["error"] == "size-guard"
 
+    def test_non_positive_max_configs_is_validation_error(self, capsys, small_instance):
+        for limit in ("0", "-1"):
+            code, out, err = run_cli(
+                capsys, ["brute", "--input", small_instance, "--max-configs", limit]
+            )
+            assert code == 3, limit
+            assert out == ""
+            assert json.loads(err)["error"] == "validation"
+
 
 class TestCouplingStats:
     def test_state_count_within_bound(self, capsys, small_instance):
@@ -161,6 +170,17 @@ class TestCouplingStats:
             capsys, ["coupling-stats", "--input", small_instance, "--max-states", "2"]
         )
         assert code == 4
+
+    def test_non_positive_max_states_is_validation_error(self, capsys, small_instance):
+        for limit in ("0", "-1"):
+            for args in (
+                ["coupling-stats", "--input", small_instance],
+                ["approx", "--input", small_instance, "--epsilon", "0.2", "--samples", "20"],
+            ):
+                code, out, err = run_cli(capsys, [*args, "--max-states", limit])
+                assert code == 3, (args[0], limit)
+                assert out == ""
+                assert json.loads(err)["error"] == "validation"
 
     def test_handles_wide_instances(self, capsys, tmp_path):
         p, q = mx.random_instance(50, 4, 2, 2, seed=12)

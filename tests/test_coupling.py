@@ -1,4 +1,6 @@
+import json
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import mixtv as mx
 from mixtv import coupling
 from conftest import lex_configs, mixture, point_mass, uniform_bits
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 @st.composite
@@ -77,62 +81,134 @@ class ScriptedRng:
         return np.array(out)
 
 
+def assert_merged_and_canonical(dag):
+    """No layer holds two byte-equal ``[alpha | beta]`` rows, and no stored weight is -0.0."""
+    for lay in dag._layers:
+        rows = np.concatenate([lay.alpha, lay.beta], axis=1)
+        assert len({row.tobytes() for row in rows}) == lay.size
+        assert not np.signbit(lay.alpha).any() and not np.signbit(lay.beta).any()
+        if lay.upd_alpha is not None:
+            assert not np.signbit(lay.upd_alpha).any()
+
+
+def windowed_pair(seed, n=100, k=3, fixed=3):
+    """Uniform-weight subcube pair, k + k components each fixing ``fixed``
+    coordinates to one shared target point, so every cube holds it."""
+    rng = np.random.default_rng(seed)
+    target = rng.integers(0, 2, size=n)
+    comps = np.full((2 * k, n, 2), 0.5)
+    for s in range(2 * k):
+        pos = rng.choice(n, size=fixed, replace=False)
+        comps[s, pos] = np.eye(2)[target[pos]]
+    weights = np.full(k, 1.0 / k)
+    return mixture(weights, comps[:k]), mixture(weights, comps[k:])
+
+
+def path_key_count(p, q):
+    """States of the coupling tree with one state per path, by a DP over
+    (active P-components, active Q-components) pairs: which children a state
+    has depends only on which components are active."""
+    cp, cq = p.components.tolist(), q.components.tolist()
+    layer = {(tuple(np.flatnonzero(p.weights > 0)), tuple(np.flatnonzero(q.weights > 0))): 1}
+    total = 1
+    for j in range(p.n):
+        nxt = defaultdict(int)
+        for (a, b), count in layer.items():
+            ell = [min(min(cp[s][j][c] for s in a), min(cq[t][j][c] for t in b)) for c in range(p.q)]
+            if sum(ell) > 0.0:
+                nxt[a, b] += count
+            for c in range(p.q):
+                a2 = tuple(s for s in a if cp[s][j][c] > ell[c])
+                b2 = tuple(t for t in b if cq[t][j][c] > ell[c])
+                if a2 and b2:
+                    nxt[a2, b2] += count
+        layer = nxt
+        total += sum(nxt.values())
+    return total
+
+
 class TestLowerBound:
+    """The stored Type-I weight ``w1`` is the shared lower bound ``ell``."""
+
     def test_minimum_over_active_components(self, two_component_pair):
         p, q = two_component_pair
-        assert mx.lower_bound(p, q, 1, [0.5, 0.5], [1.0], 0) == 0.5
+        assert mx.build_dag(p, q)._layers[0].w1[0, 0] == 0.5
 
     def test_inactive_components_excluded(self, two_component_pair):
-        p, q = two_component_pair
-        assert mx.lower_bound(p, q, 1, [1.0, 0.0], [1.0], 0) == 0.7
+        _, q = two_component_pair
+        p = mixture([1.0, 0.0], [[[1.0, 0.0]], [[0.5, 0.5]]])
+        assert mx.build_dag(p, q)._layers[0].w1[0, 0] == 0.7
 
     def test_zero_marginal_gives_zero(self, two_component_pair):
         p, q = two_component_pair
-        assert mx.lower_bound(p, q, 1, [0.5, 0.5], [1.0], 1) == 0.0
+        assert mx.build_dag(p, q)._layers[0].w1[0, 1] == 0.0
 
     def test_bit_identical_to_stored_marginal(self):
         p, q = mx.random_instance(3, 3, 3, 2, seed=4)
-        for j in range(1, 4):
-            for c in range(3):
-                ell = mx.lower_bound(p, q, j, p.weights, q.weights, c)
-                stored = np.concatenate([p.components[:, j - 1, c], q.components[:, j - 1, c]])
-                assert any(ell == v for v in stored)
+        dag = mx.build_dag(p, q)
+        for depth, lay in enumerate(dag._layers[:-1]):
+            for m in range(lay.size):
+                active = np.concatenate(
+                    [p.components[lay.alpha[m] > 0, depth], q.components[lay.beta[m] > 0, depth]]
+                )
+                for c in range(3):
+                    assert lay.w1[m, c] in active[:, c].tolist()
+                    assert (lay.w1[m, c] <= active[:, c]).all()
 
     def test_no_active_component(self, two_component_pair):
         p, q = two_component_pair
-        with pytest.raises(mx.NoActiveComponent):
-            mx.lower_bound(p, q, 1, [0.0, 0.0], [1.0], 0)
+        idle = mx.Mixture(q=2, n=1, weights=np.zeros(2), components=p.components)
+        for pair in ((idle, q), (q, idle)):
+            with pytest.raises(mx.NoActiveComponent):
+                mx.build_dag(*pair)
 
 
 class TestUpdateWeights:
+    """The stored reweightings: ``upd_alpha`` and the Type-II children's weights."""
+
     def test_hand_computed_example(self, two_component_pair):
         p, q = two_component_pair
-        new_a, new_b = mx.update_weights(p, q, 1, [0.5, 0.5], [1.0], 0)
-        np.testing.assert_array_equal(new_a, [1.0, 0.0])
-        np.testing.assert_array_equal(new_b, [1.0])
+        dag = mx.build_dag(p, q)
+        np.testing.assert_array_equal(dag._layers[0].upd_alpha[0, :, 0], [1.0, 0.0])
+        child = dag._layers[1]
+        row = dag._layers[0].child2[0, 0]
+        np.testing.assert_array_equal(child.alpha[row], [1.0, 0.0])
+        np.testing.assert_array_equal(child.beta[row], [1.0])
 
     def test_single_component_is_invariant(self):
         p, q = mx.random_instance(2, 2, 1, 1, seed=3)
-        new_a, _ = mx.update_weights(p, q, 1, [1.0], [1.0], 0)
-        np.testing.assert_array_equal(new_a, [1.0])
+        dag = mx.build_dag(p, q)
+        for lay in dag._layers:
+            assert (lay.alpha == 1.0).all() and (lay.beta == 1.0).all()
+        for lay in dag._layers[:-1]:
+            assert (lay.upd_alpha == 1.0).all()
 
     def test_degenerate_case_keeps_weights(self):
         # Both active P-components share the same marginal, so the P side
-        # has no excess over the bound and must stay unchanged.
+        # has no excess over the bound and keeps its weights; no Type-II
+        # child exists at that value.
         p = mixture([0.5, 0.5], [[[0.4, 0.6]], [[0.4, 0.6]]])
         q = mixture([1.0], [[[0.9, 0.1]]])
-        new_a, new_b = mx.update_weights(p, q, 1, [0.5, 0.5], [1.0], 0)
-        np.testing.assert_array_equal(new_a, [0.5, 0.5])
-        np.testing.assert_array_equal(new_b, [1.0])
+        root = mx.build_dag(p, q)._layers[0]
+        np.testing.assert_array_equal(root.upd_alpha[0, :, 0], [0.5, 0.5])
+        assert root.w2[0, 0] == 0.0 and root.child2[0, 0] == -1
 
     def test_minimizer_gets_exact_zero(self):
         p, q = mx.random_instance(4, 3, 3, 3, seed=8)
-        for c in range(3):
-            new_a, new_b = mx.update_weights(p, q, 2, p.weights, q.weights, c)
-            merged = np.concatenate([new_a, new_b])
-            assert (merged == 0.0).any()
-            assert new_a.sum() == pytest.approx(1.0, abs=1e-9)
-            assert new_b.sum() == pytest.approx(1.0, abs=1e-9)
+        dag = mx.build_dag(p, q)
+        edges = 0
+        for depth, lay in enumerate(dag._layers[:-1]):
+            child = dag._layers[depth + 1]
+            for par, c in zip(*np.nonzero(lay.child2 >= 0)):
+                row = lay.child2[par, c]
+                was = np.concatenate([lay.alpha[par], lay.beta[par]]) > 0.0
+                now = np.concatenate([child.alpha[row], child.beta[row]])
+                assert (now[was] == 0.0).any()
+                np.testing.assert_array_equal(child.alpha[row], lay.upd_alpha[par, :, c])
+                assert child.alpha[row].sum() == pytest.approx(1.0, abs=1e-9)
+                assert child.beta[row].sum() == pytest.approx(1.0, abs=1e-9)
+                edges += 1
+        assert edges > 0
 
 
 class TestBuildDag:
@@ -317,6 +393,75 @@ class TestDagInvariants:
         assert d1.pfail_map() == d2.pfail_map()
 
 
+# float.hex of (estimate, discrepancy) of approximate_tv with 2000 samples,
+# recorded before states with byte-equal reweightings were merged.
+PINNED_ESTIMATES = {
+    ("smoke-general-n2q2.json", 0): ("0x1.b523964d03565p-2", "0x1.e1112632560dep-2"),
+    ("smoke-general-n2q2.json", 1): ("0x1.babedc3eefb81p-2", "0x1.e1112632560dep-2"),
+    ("smoke-general-n2q2.json", 2): ("0x1.b244787a789b5p-2", "0x1.e1112632560dep-2"),
+    ("smoke-general-n3q3.json", 0): ("0x1.3e769fdda3275p-1", "0x1.96e219419a7dap-1"),
+    ("smoke-general-n3q3.json", 1): ("0x1.389a7f5545622p-1", "0x1.96e219419a7dap-1"),
+    ("smoke-general-n3q3.json", 2): ("0x1.3bb418e701112p-1", "0x1.96e219419a7dap-1"),
+    ("smoke-subcube-n4.json", 0): ("0x1.e1f48b4b60898p-1", "0x1.fc58a6d7a1fb7p-1"),
+    ("smoke-subcube-n4.json", 1): ("0x1.e35b4686ee34dp-1", "0x1.fc58a6d7a1fb7p-1"),
+    ("smoke-subcube-n4.json", 2): ("0x1.e5755f6042b5cp-1", "0x1.fc58a6d7a1fb7p-1"),
+}
+
+
+class TestStateMerge:
+    def test_layers_hold_distinct_canonical_rows(self, random_dags):
+        for _, _, dag in random_dags:
+            assert_merged_and_canonical(dag)
+
+    def test_hash_collisions_never_merge_different_rows(self, monkeypatch):
+        rows = np.array([[0.5, 0.25], [0.5, 0.75], [0.5, 0.25], [0.5, 0.75]])
+        keep, index = coupling._merge_equal_rows(rows)
+        assert keep.tolist() == [True, True, False, False]
+        assert index.tolist() == [0, 1, 0, 1]
+        # With every hash equal, a row is compared only with the first row,
+        # so the second pair is missed (one extra state), never mixed up.
+        monkeypatch.setattr(coupling, "_row_hash", lambda bits: np.zeros(len(bits), np.uint64))
+        keep, index = coupling._merge_equal_rows(rows)
+        assert keep.tolist() == [True, True, False, True]
+        assert index.tolist() == [0, 1, 0, 2]
+
+    def test_negative_zero_weight_is_stored_as_positive_zero(self, two_component_pair):
+        p, q = two_component_pair
+        signed = mx.Mixture(q=2, n=1, weights=np.array([1.0, -0.0]), components=p.components)
+        dag = mx.build_dag(signed, q)
+        assert_merged_and_canonical(dag)
+        assert dag._layers[0].alpha.tobytes() == np.array([[1.0, 0.0]]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_windowed_subcube_pair_merges_path_states(self, seed):
+        p, q = windowed_pair(seed)
+        dag = mx.build_dag(p, q)
+        assert_merged_and_canonical(dag)
+        assert 5 * sum(dag.layer_sizes) <= path_key_count(p, q)
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_ESTIMATES))
+    def test_estimates_are_bit_identical_to_the_unmerged_tree(self, name, seed):
+        doc = json.loads((INSTANCES / name).read_text())
+        p, q = mx.parse_instance(doc)
+        est = mx.approximate_tv(
+            p, q, mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=2000)
+        )
+        assert (est.estimate.hex(), est.discrepancy.hex()) == PINNED_ESTIMATES[name, seed]
+
+    def test_max_states_counts_merged_states(self):
+        p, q = windowed_pair(0, n=30)
+        merged = sum(mx.build_dag(p, q).layer_sizes)
+        assert merged < path_key_count(p, q)
+        assert sum(mx.build_dag(p, q, max_states=merged).layer_sizes) == merged
+        with pytest.raises(mx.TooLarge):
+            mx.build_dag(p, q, max_states=merged - 1)
+
+    def test_non_positive_max_states_is_a_shape_error(self, uniform2, point00):
+        for limit in (0, -1):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.build_dag(uniform2, point00, max_states=limit)
+
+
 class TestFailureProbability:
     def test_k1_reduces_to_greedy_product(self, uniform2, point00):
         dag = mx.build_dag(uniform2, point00)
@@ -372,6 +517,9 @@ class TestEvaluateFailureMass:
         dag = mx.build_dag(p, q)
         with pytest.raises(mx.TooLarge):
             mx.failure_mass_table(dag)
+        for limit in (0, -1):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.failure_mass_table(dag, max_configs=limit)
 
     def test_rejects_bad_configuration(self, uniform2, point00):
         dag = mx.build_dag(uniform2, point00)
@@ -390,6 +538,7 @@ class TestEvaluateFailureMass:
     def test_batched_masses_sum_and_integrate_to_the_references(self, pair):
         p, q = pair
         dag = mx.build_dag(p, q)
+        assert_merged_and_canonical(dag)
         configs = np.array(lex_configs(p.n, p.q))
         masses = mx.failure_masses(dag, configs)
         dense = [dense_failure_mass(dag, cfg) for cfg in configs]

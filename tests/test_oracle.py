@@ -21,6 +21,13 @@ class TestBruteForceTv:
         with pytest.raises(mx.TooLarge):
             mx.brute_force_tv(p, q)
 
+    def test_non_positive_limit_is_a_shape_error(self, uniform2, point00):
+        for limit in (0, -1):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.brute_force_tv(uniform2, point00, max_configs=limit)
+            with pytest.raises(mx.ShapeMismatch):
+                mx.mass_table(uniform2, max_configs=limit)
+
     def test_mass_table_matches_pointwise_oracle(self):
         p, _ = mx.random_instance(3, 3, 2, 1, seed=6)
         table = mx.mass_table(p)
