@@ -53,7 +53,6 @@ from .model import (
     mass,
     masses,
     parse_instance,
-    suffix_mass,
     validate_mixture,
 )
 from .oracle import (
@@ -126,7 +125,6 @@ __all__ = [
     "sample_count",
     "sample_failed_trajectory",
     "simulate_coupling",
-    "suffix_mass",
     "theoretical_gamma",
     "validate_mixture",
 ]

@@ -59,7 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _canonical(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # Documents come from json.load or instance_document and cannot hold cycles.
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _digest(doc: Any) -> str:

@@ -143,12 +143,11 @@ def check_same_domain(p: Mixture, q: Mixture) -> None:
         )
 
 
-def as_configuration(m: Mixture, values: Sequence[int], length: int | None = None) -> np.ndarray:
+def as_configuration(m: Mixture, values: Sequence[int]) -> np.ndarray:
     """Coerce ``values`` to an int configuration array and range-check it."""
     cfg = np.asarray(values, dtype=np.int64)
-    expect = m.n if length is None else length
-    if cfg.ndim != 1 or cfg.shape[0] != expect:
-        raise ShapeMismatch(f"configuration of length {cfg.shape} for n={expect}")
+    if cfg.ndim != 1 or cfg.shape[0] != m.n:
+        raise ShapeMismatch(f"configuration of length {cfg.shape} for n={m.n}")
     if cfg.size and ((cfg < 0).any() or (cfg >= m.q).any()):
         raise ShapeMismatch(f"configuration values must lie in 0..{m.q - 1}")
     return cfg
@@ -164,52 +163,12 @@ def as_configurations(m: Mixture, values: Sequence[Sequence[int]]) -> np.ndarray
     return cfgs
 
 
-def suffix_mass(m: Mixture, j: int, weights: Sequence[float], suffix: Sequence[int]) -> float:
-    """Probability of a suffix under the mixture reweighted by ``weights``.
-
-    Computes ``sum_s weights[s] * prod_{i=j..n} components[s, i, suffix[i-j]]``
-    with coordinates multiplied left to right and components accumulated in
-    ascending index, so repeated calls are bit-for-bit reproducible.
-
-    Parameters
-    ----------
-    j : int
-        First coordinate of the suffix, 1-based; ``j = n + 1`` with an
-        empty suffix is the empty product and returns 1.
-    weights : array-like, shape (k,)
-        Reweighting of the components; must sum to 1 within 1e-9.
-    suffix : sequence of int, length n - j + 1
-        Values of coordinates ``j..n``.
-    """
-    if not 1 <= j <= m.n + 1:
-        raise ShapeMismatch(f"coordinate j={j} outside 1..{m.n + 1}")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m.k,):
-        raise ShapeMismatch(f"weight vector of shape {w.shape} for k={m.k}")
-    if abs(float(w.sum()) - 1.0) > SUM_TOL:
-        raise ShapeMismatch(f"reweighting sums to {float(w.sum())!r}, not 1")
-    if j == m.n + 1:
-        if len(suffix):
-            raise ShapeMismatch("expected an empty suffix for j = n + 1")
-        return 1.0
-    cfg = as_configuration(m, suffix, length=m.n - j + 1)
-
-    comp = m.components
-    total = 0.0
-    for s in range(m.k):
-        prod = 1.0
-        for off, c in enumerate(cfg):
-            prod *= comp[s, j - 1 + off, c]
-        total += w[s] * prod
-    return float(total)
-
-
 def masses(m: Mixture, configs: Sequence[Sequence[int]]) -> np.ndarray:
     """Probability mass of each configuration row of a ``(B, n)`` block.
 
     Coordinates are multiplied left to right and components added in
-    ascending index, so row ``b`` is bit-identical to
-    ``suffix_mass(m, 1, m.weights, configs[b])``.
+    ascending index, so each row is bit-for-bit reproducible whatever block
+    it is in.
     """
     cfgs = as_configurations(m, configs)
     prods = np.ones((m.k, cfgs.shape[0]))
@@ -224,8 +183,8 @@ def masses(m: Mixture, configs: Sequence[Sequence[int]]) -> np.ndarray:
 def mass(m: Mixture, omega: Sequence[int]) -> float:
     """Probability mass of a full configuration, ``sum_s w_s prod_i P_i^s(omega_i)``.
 
-    Evaluates in O(nk) arithmetic operations and is exactly
-    ``suffix_mass(m, 1, m.weights, omega)`` (same arithmetic order).
+    Evaluates in O(nk) arithmetic operations, as the one-row block of
+    :func:`masses` (same arithmetic order).
     """
     return float(masses(m, as_configuration(m, omega)[None, :])[0])
 

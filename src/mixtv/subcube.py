@@ -5,18 +5,18 @@ coordinate to 0, fixes it to 1, or leaves it uniform.  A point then has one
 of at most ``2^(k1+k2)`` probability-difference values, indexed by the bit
 vector recording which components it is feasible for, so the distance
 reduces to counting points per feasibility vector.  The counts are the
-superset Mobius transform of the cube-intersection sizes, which one
-depth-first walk over the formula subsets builds; both are exact integers,
-and only the final weighted sum is floating point.  Each scaled count is exact for
-counts below 2**53 (one-ulp truncation beyond) and underflows to zero once
-a component has more than ~1074 free coordinates.
+superset Mobius transform of the cube-intersection sizes, both exact
+integers computed in numpy passes over the ``2^(k1+k2)`` subsets; only the
+final weighted sum is floating point.  Each scaled count is exact for
+counts below 2**53 (truncated to 53 bits beyond) and underflows to zero
+once a component has more than ~1074 free coordinates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import product
-from math import ldexp
 from typing import Sequence
 
 import numpy as np
@@ -27,11 +27,10 @@ from .model import Mixture, check_same_domain
 # A marginal must be within this of 0, 1/2, or 1 to classify; the values are
 # exact under JSON round-trips, so the slack only guards exotic serializers.
 CLASSIFY_TOL = 1e-12
-# chi_table refuses tables estimated above this many bytes, counting one
-# integer of up to n bits and one chi tuple per entry.
+# chi_table refuses a table whose 2^(k1+k2)-entry arrays exceed this many
+# bytes: two fixed-coordinate masks of 8 bytes per 64 coordinates of U, eight
+# 8-byte arrays (counts, shifts, sums), and Python ints once |U| > 62.
 CHI_TABLE_MAX_BYTES = 1 << 30
-
-ChiTable = dict[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -148,74 +147,82 @@ def chi_count(p: SubcubeProfile, q: SubcubeProfile, chi: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_bits(coords: np.ndarray, n: int) -> int:
-    """1-based coordinates as one integer, bit ``i`` standing for coordinate ``i + 1``."""
-    row = np.zeros(n, dtype=bool)
-    row[coords - 1] = True
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+class ChiTable(Mapping):
+    """Read-only map chi -> count, in lexicographic chi order: the exact int
+    ``counts[mask] << shift``, formula ``f`` on mask bit ``K - 1 - f``."""
 
+    def __init__(self, counts: np.ndarray, shift: int):
+        self.counts = counts
+        self.shift = shift
+        self.k_total = counts.size.bit_length() - 1
 
-def _phi_sizes(p: SubcubeProfile, q: SubcubeProfile) -> list[int]:
-    """``|Phi(S)|`` for every formula subset ``S``, indexed by bitmask.
+    def __len__(self) -> int:
+        return self.counts.size
 
-    Formula ``f`` (0-based) is mask bit ``K - 1 - f``, so ascending masks are
-    lexicographic chi order.  A depth-first walk adds formulas in index order;
-    a child's fixed-1 and fixed-0 sets are its parent's OR the new formula's.
-    A conflict empties every superset, so its branch is skipped and its
-    entries stay 0.
-    """
-    n = p.n
-    k_total = p.k + q.k
-    fixed = [
-        tuple(_fixed_bits(c, n) for c in _formula(p, q, f)) for f in range(1, k_total + 1)
-    ]
-    sizes = [0] * (1 << k_total)
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return product((0, 1), repeat=self.k_total)
 
-    def walk(mask: int, start: int, ones: int, zeros: int) -> None:
-        sizes[mask] = 1 << (n - (ones | zeros).bit_count())
-        for f in range(start, k_total):
-            o = ones | fixed[f][0]
-            z = zeros | fixed[f][1]
-            if not o & z:
-                walk(mask | 1 << (k_total - 1 - f), f + 1, o, z)
+    def __getitem__(self, chi: tuple[int, ...]) -> int:
+        if not isinstance(chi, tuple) or len(chi) != self.k_total or not set(chi) <= {0, 1}:
+            raise KeyError(chi)
+        mask = sum(int(b) << (self.k_total - 1 - f) for f, b in enumerate(chi))
+        return int(self.counts[mask]) << self.shift
 
-    walk(0, 0, 0, 0)
-    return sizes
+    def values(self) -> list[int]:  # one pass over the array, not a lookup per chi
+        return [c << self.shift for c in self.counts.tolist()]
 
 
 def chi_table(p: SubcubeProfile, q: SubcubeProfile) -> ChiTable:
-    """The full map chi -> count, in lexicographic chi order.
+    """The full map chi -> count, in lexicographic chi order; matches :func:`chi_count`.
 
-    Matches :func:`chi_count` entry by entry.  ``|Phi(S)|`` sums ``N_chi``
-    over every ``chi`` containing ``S``, so the counts are its superset
-    Mobius transform: ``k1 + k2`` passes of ``2^(k1+k2-1)`` exact-integer
-    subtractions after one depth-first walk over the formula subsets, each
-    step an OR of one formula's fixed coordinates into its parent's.  Raises
-    :class:`TooLarge` first when the estimated table size exceeds
-    ``CHI_TABLE_MAX_BYTES``.
-    """
+    Coordinates outside ``U``, the union of all fixed coordinates, are free
+    in every component, so counts are taken over ``{0,1}^U`` and shifted by
+    ``n - |U|``.  ``K = k1 + k2`` doublings OR the formulas' fixed-1 and
+    fixed-0 bit masks over ``U`` into every subset's; a popcount gives
+    ``|Phi(S)|`` (0 on a conflict), and ``K`` passes of its superset Mobius
+    transform give the counts, int64 up to ``|U| = 62`` and Python ints
+    beyond.  Raises :class:`TooLarge` when the arrays would exceed
+    ``CHI_TABLE_MAX_BYTES``."""
+    if p.n != q.n:
+        raise ShapeMismatch("profiles disagree on the dimension")
     k_total = p.k + q.k
-    est = (1 << k_total) * (p.n // 8 + 8 * k_total + 64)
+    fixed = np.zeros((2, k_total, p.n), dtype=bool)  # fixed-1, fixed-0 rows
+    for f in range(k_total):
+        for side, coords in enumerate(_formula(p, q, f + 1)):
+            fixed[side, f, coords - 1] = True
+    fixed = fixed[:, :, fixed.any(axis=(0, 1))]  # the columns of U
+    u = fixed.shape[2]
+    words = u // 64 + 1
+    est = (1 << k_total) * (16 * words + 64 + (0 if u <= 62 else 32 + u // 7))
     if est > CHI_TABLE_MAX_BYTES:
         raise TooLarge(
-            f"chi table for k1 + k2 = {k_total}, n = {p.n} needs ~{est} bytes, "
+            f"chi table for k1 + k2 = {k_total}, |U| = {u} needs ~{est} bytes, "
             f"over the {CHI_TABLE_MAX_BYTES}-byte limit"
         )
-    counts = _phi_sizes(p, q)
+    packed = np.packbits(np.pad(fixed, ((0, 0), (0, 0), (0, 64 * words - u))), axis=2).view(np.uint64)
+    masks = np.zeros((2, 1, words), dtype=np.uint64)
+    for f in reversed(range(k_total)):  # formula f lands on mask bit K - 1 - f
+        masks = np.concatenate((masks, masks | packed[:, f : f + 1]), axis=1)
+    dtype = np.int64 if u <= 62 else object
+    free = u - np.bitwise_count(masks[0] | masks[1]).sum(axis=1, dtype=np.int64)
+    counts = np.left_shift(np.ones(1 << k_total, dtype=dtype), free.astype(dtype))
+    counts[(masks[0] & masks[1]).any(axis=1)] = 0
     for f in range(k_total):
-        for mask in range(1 << k_total):
-            if not mask >> f & 1:
-                counts[mask] -= counts[mask | 1 << f]
-    return dict(zip(product((0, 1), repeat=k_total), counts))
+        v = counts.reshape(-1, 2, 1 << f)
+        v[:, 0] -= v[:, 1]
+    counts.flags.writeable = False
+    return ChiTable(counts, p.n - u)
 
 
-def _exact_scaled(count: int, shift: int) -> float:
-    """``count * 2**-shift`` as a float without overflowing intermediate values."""
-    bits = count.bit_length()
-    if bits <= 53:
-        return ldexp(float(count), -shift)
-    excess = bits - 53
-    return ldexp(float(count >> excess), excess - shift)
+def _top53(counts: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, e)``: ``m * 2**e`` is each count (below ``2 ** (bits + 1)``) cut to its top
+    53 bits, ``m`` as floats; ``e``, the least shift with ``counts >> e < 2**53``, comes
+    from a binary search that int64 and object arrays run alike."""
+    e = np.zeros(counts.size, dtype=np.int64)
+    for i in reversed(range(max(bits - 53, 0).bit_length())):
+        e += (1 << i) * (counts >> (e + (1 << i)) >= 1 << 53)
+    e += counts >> e >= 1 << 53
+    return (counts >> e).astype(np.float64), e
 
 
 def exact_subcube_tv(p: Mixture, q: Mixture) -> float:
@@ -224,29 +231,21 @@ def exact_subcube_tv(p: Mixture, q: Mixture) -> float:
     Classifies both mixtures, counts points per feasibility vector, and
     returns ``(1/2) * sum over chi of N_chi * |sum_s a_s 2^-r_s chi_s -
     sum_t b_t 2^-r'_t chi_(k1+t)|``.  Counting is exact integer arithmetic
-    for any ``n``; the final sum is double precision.
+    for any ``n``.  Each scaled count ``N_chi 2^-r`` keeps the top 53 bits
+    of ``N_chi`` (exact below 2^53, truncated beyond), and the sum runs in
+    double precision in lexicographic chi order.
     """
     check_same_domain(p, q)
     prof_p = classify_subcube(p)
     prof_q = classify_subcube(q)
-    k1 = prof_p.k
-    r_p = prof_p.free_counts
-    r_q = prof_q.free_counts
-    w_p = p.weights
-    w_q = q.weights
-    total = 0.0
-    for chi, count in chi_table(prof_p, prof_q).items():
-        if count == 0:
-            continue
-        # Accumulate the two sides separately so identical mixtures cancel
-        # bit-exactly under the symmetric chi values.
-        lhs = 0.0
-        for s in range(k1):
-            if chi[s]:
-                lhs += w_p[s] * _exact_scaled(count, r_p[s])
-        rhs = 0.0
-        for t in range(prof_q.k):
-            if chi[k1 + t]:
-                rhs += w_q[t] * _exact_scaled(count, r_q[t])
-        total += abs(lhs - rhs)
-    return 0.5 * total
+    table = chi_table(prof_p, prof_q)
+    mant, exp = _top53(table.counts, p.n - table.shift)
+    weights = [*p.weights, *q.weights]
+    free = [*prof_p.free_counts, *prof_q.free_counts]
+    # The sides stay apart so that identical mixtures cancel bit-exactly.
+    sides = np.zeros((2, table.counts.size))
+    for f in range(table.k_total):  # each side adds its components in index order
+        shape = (-1, 2, 1 << (table.k_total - 1 - f))  # [:, 1] holds the chi with chi_f = 1
+        scaled = np.ldexp(mant.reshape(shape)[:, 1], exp.reshape(shape)[:, 1] + table.shift - free[f])
+        sides[int(f >= prof_p.k)].reshape(shape)[:, 1] += weights[f] * scaled
+    return 0.5 * float(np.add.accumulate(np.abs(sides[0] - sides[1]))[-1])

@@ -327,6 +327,26 @@ class TestReports:
         _, out_b, _ = run_cli(capsys, ["brute", "--input", str(b)])
         assert json.loads(out_a)["digest"] == json.loads(out_b)["digest"]
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["brute", "--input", "instances/smoke-general-n2q2.json"],
+             "4aba36f6d2880170dff236445acb0faf62152d437d1ce35372c445a8559957bd"),
+            (["brute", "--input", "instances/smoke-general-n3q3.json"],
+             "d9750ed7956571409cd77b3783aa7815896c0401609f0f278b8f19fb1d86aa04"),
+            (["exact-subcube", "--input", "instances/smoke-subcube-n4.json"],
+             "f348d6fb0d85523da37ad5ae71acc4adf5cc8306d10987e3a193d5cb90530a0d"),
+            (["gen", "random", "--n", "3", "--q", "2", "--k1", "2", "--k2", "2", "--seed", "7"],
+             "30a304a52a52cfca6304669984b49482ffba6989850076a10911e32703b83127"),
+        ],
+    )
+    def test_digest_is_pinned(self, capsys, monkeypatch, args, digest):
+        # SHA-256 of the canonical encoding; a change to the encoding shows here.
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        code, out, _ = run_cli(capsys, args)
+        assert code == 0
+        assert json.loads(out)["digest"] == digest
+
     def test_report_echoes_command(self, capsys, small_instance):
         args = ["brute", "--input", small_instance]
         _, out, _ = run_cli(capsys, args)

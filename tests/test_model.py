@@ -3,6 +3,32 @@ import pytest
 
 import mixtv as mx
 from conftest import lex_configs, mixture, uniform_bits
+from mixtv.model import SUM_TOL
+
+
+def suffix_mass(m, j, weights, suffix):
+    """Reference for :func:`mixtv.masses`: the probability of coordinates
+    ``j..n`` (1-based) under the mixture reweighted by ``weights``, with
+    coordinates multiplied left to right and components added in index order."""
+    if not 1 <= j <= m.n + 1:
+        raise mx.ShapeMismatch(f"coordinate j={j} outside 1..{m.n + 1}")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (m.k,) or abs(float(w.sum()) - 1.0) > SUM_TOL:
+        raise mx.ShapeMismatch(f"bad reweighting {w!r}")
+    if j == m.n + 1:
+        if len(suffix):
+            raise mx.ShapeMismatch("expected an empty suffix for j = n + 1")
+        return 1.0
+    cfg = np.asarray(suffix, dtype=np.int64)
+    if cfg.shape != (m.n - j + 1,) or ((cfg < 0) | (cfg >= m.q)).any():
+        raise mx.ShapeMismatch(f"bad suffix {suffix!r} for j={j}")
+    total = 0.0
+    for s in range(m.k):
+        prod = 1.0
+        for off, c in enumerate(cfg):
+            prod *= m.components[s, j - 1 + off, c]
+        total += w[s] * prod
+    return float(total)
 
 
 class TestValidateMixture:
@@ -76,7 +102,7 @@ class TestMass:
         p, _ = mx.random_instance(4, 3, 3, 1, seed=12)
         configs = lex_configs(4, 3)
         block = mx.masses(p, configs[::-1])
-        assert block.tolist() == [mx.suffix_mass(p, 1, p.weights, c) for c in configs[::-1]]
+        assert block.tolist() == [suffix_mass(p, 1, p.weights, c) for c in configs[::-1]]
 
     def test_block_rejects_bad_shapes(self):
         m = uniform_bits(2)
@@ -100,25 +126,25 @@ class TestMass:
 class TestSuffixMass:
     def test_empty_suffix_is_one(self):
         m = uniform_bits(2)
-        assert mx.suffix_mass(m, 3, m.weights, ()) == 1.0
+        assert suffix_mass(m, 3, m.weights, ()) == 1.0
 
     def test_single_factor(self):
         p, _ = mx.random_instance(3, 2, 1, 1, seed=5)
-        assert mx.suffix_mass(p, 3, [1.0], (1,)) == p.components[0, 2, 1]
+        assert suffix_mass(p, 3, [1.0], (1,)) == p.components[0, 2, 1]
 
     def test_matches_mass_at_j_one_exactly(self):
         p, _ = mx.random_instance(3, 3, 2, 1, seed=9)
         for cfg in lex_configs(3, 3):
-            assert mx.suffix_mass(p, 1, p.weights, cfg) == mx.mass(p, cfg)
+            assert suffix_mass(p, 1, p.weights, cfg) == mx.mass(p, cfg)
 
     def test_full_prefix_example(self):
         m = mixture([0.5, 0.5], [[[1, 0], [1, 0]], [[0.5, 0.5], [0.5, 0.5]]])
-        assert mx.suffix_mass(m, 1, [0.5, 0.5], (0, 0)) == pytest.approx(0.625, abs=1e-15)
+        assert suffix_mass(m, 1, [0.5, 0.5], (0, 0)) == pytest.approx(0.625, abs=1e-15)
 
     def test_rejects_unnormalized_weights(self):
         m = uniform_bits(2)
         with pytest.raises(mx.ShapeMismatch):
-            mx.suffix_mass(m, 2, [0.4], (0,))
+            suffix_mass(m, 2, [0.4], (0,))
 
 
 class TestInstanceDocuments:

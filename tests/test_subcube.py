@@ -1,4 +1,6 @@
+import itertools
 import time
+from math import ldexp
 
 import numpy as np
 import pytest
@@ -22,6 +24,74 @@ def target_windowed_pair(n, window, k1, k2, seed, fixed=3):
         pos = rng.choice(window, size=fixed, replace=False)
         comps[s, pos] = np.eye(2)[target[pos]]
     return mixture(np.full(k1, 1 / k1), comps[:k1]), mixture(np.full(k2, 1 / k2), comps[k1:])
+
+
+def nested_pair(u):
+    """Pair with |U| = u whose P-only chi counts 2^(u-2) minus a few points,
+    so that cutting the count to 53 bits differs from rounding it."""
+    cubes = [{0: 1}, {0: 1} | {i: 0 for i in range(1, u - 3)}, {1: 0}, {i: 0 for i in range(2, u)}]
+    comps = np.full((4, u + 4, 2), 0.5)
+    for s, cube in enumerate(cubes):
+        for i, v in cube.items():
+            comps[s, i] = np.eye(2)[v]
+    return mixture([0.6, 0.4], comps[:2]), mixture([0.7, 0.3], comps[2:])
+
+
+def _fixed_bits(coords, n):
+    row = np.zeros(n, dtype=bool)
+    row[coords - 1] = True
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def reference_exact_tv(p, q):
+    """The exact distance by a depth-first |Phi| walk over big integers, a
+    Python Mobius loop and a per-chi sum of counts cut to 53 bits: the
+    arithmetic, in its order, that exact_subcube_tv reproduces bit for bit."""
+    pp, qq = profile_pair(p, q)
+    n, k1, k_total = p.n, pp.k, pp.k + qq.k
+    fixed = [
+        (_fixed_bits(o, n), _fixed_bits(z, n))
+        for o, z in zip(pp.ones + qq.ones, pp.zeros + qq.zeros)
+    ]
+    counts = [0] * (1 << k_total)
+
+    def walk(mask, start, ones, zeros):
+        counts[mask] = 1 << (n - (ones | zeros).bit_count())
+        for f in range(start, k_total):
+            o, z = ones | fixed[f][0], zeros | fixed[f][1]
+            if not o & z:
+                walk(mask | 1 << (k_total - 1 - f), f + 1, o, z)
+
+    walk(0, 0, 0, 0)
+    for f in range(k_total):
+        for mask in range(1 << k_total):
+            if not mask >> f & 1:
+                counts[mask] -= counts[mask | 1 << f]
+
+    def scaled(count, shift):
+        excess = max(count.bit_length() - 53, 0)
+        return ldexp(float(count >> excess), excess - shift)
+
+    weights = [*p.weights, *q.weights]
+    free = [*pp.free_counts, *qq.free_counts]
+    total = 0.0
+    for chi, count in zip(itertools.product((0, 1), repeat=k_total), counts):
+        if count == 0:
+            continue
+        lhs = rhs = 0.0
+        for f in range(k_total):
+            if chi[f]:
+                term = weights[f] * scaled(count, free[f])
+                if f < k1:
+                    lhs += term
+                else:
+                    rhs += term
+        total += abs(lhs - rhs)
+    return 0.5 * total
+
+
+def same_float(a, b):
+    return float(a).hex() == float(b).hex()
 
 
 # Marginal row of a coordinate fixed to 0, fixed to 1, or left free.
@@ -150,6 +220,34 @@ class TestChiCount:
         for chi in (rng.random((64, k1 + k2)) < 0.75).astype(int):
             assert mx.chi_count(pp, qq, chi) == table[tuple(chi.tolist())]
 
+    def test_twenty_formula_table_is_fast_and_exact(self):
+        n, k1, k2 = 2000, 10, 10
+        p, q = target_windowed_pair(n, 40, k1, k2, seed=20)
+        pp, qq = profile_pair(p, q)
+        t0 = time.perf_counter()
+        table = mx.chi_table(pp, qq)
+        tv = mx.exact_subcube_tv(p, q)
+        assert time.perf_counter() - t0 < 3.0
+        assert 0.1 < tv < 0.9
+        rng = np.random.default_rng(1)
+        for chi in (rng.random((32, k1 + k2)) < 0.8).astype(int):
+            assert mx.chi_count(pp, qq, chi) == table[tuple(chi.tolist())]
+
+    def test_table_is_a_read_only_mapping(self):
+        p, q = mx.random_instance(5, 2, 2, 2, seed=3, family="subcube")
+        table = mx.chi_table(*profile_pair(p, q))
+        assert (0, 1, 2, 0) not in table and (0, 1) not in table and [0, 1, 0, 0] not in table
+        assert table.get((1, 1, 1, 1, 1)) is None
+        assert table.values() == [table[chi] for chi in table]
+        with pytest.raises(ValueError):
+            table.counts[0] = 1
+
+    def test_table_rejects_dimension_mismatch(self):
+        p = mixture([1.0], [[[0.0, 1.0], [0.5, 0.5]]])
+        q = mixture([1.0], [[[0.5, 0.5]] * 3])
+        with pytest.raises(mx.ShapeMismatch):
+            mx.chi_table(*profile_pair(p, q))
+
     def test_size_guard_trips_before_enumeration(self):
         p, q = mx.random_instance(3, 2, 20, 20, seed=0, family="subcube")
         t0 = time.perf_counter()
@@ -172,7 +270,9 @@ class TestAgainstBruteForce:
         table = mx.chi_table(*profile_pair(p, q))
         assert list(table.items()) == list(mx.brute_force_chi_counts(p, q).items())
         assert sum(table.values()) == 2**p.n
-        assert mx.exact_subcube_tv(p, q) == pytest.approx(mx.brute_force_tv(p, q), abs=1e-12)
+        tv = mx.exact_subcube_tv(p, q)
+        assert same_float(tv, reference_exact_tv(p, q))
+        assert tv == pytest.approx(mx.brute_force_tv(p, q), abs=1e-12)
 
 
 class TestExactTv:
@@ -212,6 +312,17 @@ class TestExactTv:
         q, _ = mx.random_instance(4, 2, 1, 1, seed=0, family="subcube")
         with pytest.raises(mx.ShapeMismatch):
             mx.exact_subcube_tv(p, q)
+
+    @pytest.mark.parametrize("u, dtype", [(60, np.int64), (290, object)])
+    def test_counts_past_53_bits_are_cut_like_the_reference(self, u, dtype):
+        # |U| = 60 keeps int64 counts above 2^53, |U| = 290 needs Python ints.
+        p, q = nested_pair(u)
+        table = mx.chi_table(*profile_pair(p, q))
+        assert table.counts.dtype == dtype
+        assert max(table.values()).bit_length() > 53
+        tv = mx.exact_subcube_tv(p, q)
+        assert 0.1 < tv < 0.9
+        assert same_float(tv, reference_exact_tv(p, q))
 
     def test_runtime_linear_in_dimension(self):
         # Doubling n at fixed component count should roughly double the time;
