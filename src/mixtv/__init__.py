@@ -21,6 +21,7 @@ from .coupling import (
     failure_mass_table,
     failure_masses,
     failure_probability,
+    sample_failed_trajectories,
     sample_failed_trajectory,
     simulate_coupling,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "parse_instance",
     "random_instance",
     "sample_count",
+    "sample_failed_trajectories",
     "sample_failed_trajectory",
     "simulate_coupling",
     "theoretical_gamma",

@@ -15,11 +15,12 @@ states is a layered DAG with three transition kinds:
 * Type-III -- mismatch ``(c, c')``, absorbing failure sink.
 
 Dynamic programs over the DAG answer the discrepancy and conditional-sampling
-queries used by the Monte Carlo estimator; the evaluation query is one
-forward pass per block of configurations over the states whose paths agree
-with them.  A direct
-trajectory simulator (:func:`simulate_coupling`) provides an independent
-path for statistical cross-validation of the DAG.
+queries used by the Monte Carlo estimator.  Both block queries advance one
+layer at a time: the sampling query walks a block of failure-conditioned
+draws down the DAG together, and the evaluation query is one forward pass
+per block of configurations over the states whose paths agree with them.  A
+direct trajectory simulator (:func:`simulate_coupling`) provides an
+independent path for statistical cross-validation of the DAG.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    FactViolation,
     NoActiveComponent,
     ShapeMismatch,
     TooLarge,
@@ -569,61 +571,78 @@ def _walk_tables(dag: CouplingDag) -> list[np.ndarray]:
     return dag._walk_tables
 
 
-def _pick_index(rng: np.random.Generator, cumulative: np.ndarray) -> int:
-    u = rng.random() * cumulative[-1]
-    slot = int(np.searchsorted(cumulative, u, side="right"))
-    if slot >= cumulative.shape[0]:  # roundoff at the upper edge
-        slot = cumulative.shape[0] - 1
-    while slot > 0 and cumulative[slot] == cumulative[slot - 1]:
-        slot -= 1
-    return slot
+def _pick_rows(u: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
+    """The slot each row of ``cumulative`` picks with its uniform double ``u``.
 
-
-def _pick_rows(rng: np.random.Generator, cumulative: np.ndarray) -> np.ndarray:
-    """:func:`_pick_index` on each row of ``cumulative``, from one draw of doubles.
-
-    ``rng.random(r)`` yields the same doubles as ``r`` scalar calls.  The
-    slot is the count of entries at most the target, with the target held
-    just below the row total: :func:`_pick_index`'s edge clip and tie rule
-    act only on a target at or above the total, and then pick the first
-    entry equal to the total, which is that same count.
+    The slot is the count of entries at most ``u * total``, with that target
+    held just below the row total.  Below the total this is the first slot
+    whose cumulative weight exceeds the target, so a zero-weight slot is
+    never picked; a target at or above the total (roundoff at the upper
+    edge) picks the first slot whose cumulative weight equals the total.
     """
     total = cumulative[:, -1]
-    target = np.minimum(rng.random(cumulative.shape[0]) * total, np.nextafter(total, -np.inf))
+    target = np.minimum(u * total, np.nextafter(total, -np.inf))
     return (cumulative <= target[:, None]).sum(axis=1)
 
 
-def sample_failed_trajectory(dag: CouplingDag, rng: np.random.Generator) -> tuple[int, ...]:
-    """One sample of the first coordinate sequence conditioned on failure.
+def sample_failed_trajectories(
+    dag: CouplingDag, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` samples of the first coordinate sequence conditioned on failure.
 
-    Walks the DAG from the root, choosing each edge with probability
-    ``weight * p_fail(target) / p_fail(state)``; on the failure edge the
-    remaining coordinates are completed by ancestral sampling under the
-    reweighted P-side components, so the output is distributed exactly as
-    the first sample conditioned on the coupling failing.
+    Each row walks the DAG from the root, choosing each edge with
+    probability ``weight * p_fail(target) / p_fail(state)``; on the failure
+    edge it picks a P-side component by the reweighted P-side weights and
+    completes the remaining coordinates by ancestral sampling under that
+    component, so every row is distributed exactly as the first sample
+    conditioned on the coupling failing.  Returns a ``(count, n)`` int64
+    array.
+
+    A row that fails at layer ``d`` uses exactly ``n + 1`` doubles: layer
+    ``j <= d`` reads column ``j`` of ``rng.random((count, n + 1))``, the
+    component pick reads column ``d + 1`` and tail coordinate ``j > d``
+    reads column ``j + 1``.  So row ``b`` is the ``b``-th of ``count``
+    sequential one-row calls, and the generator ends in the same state.
+    All rows advance together, one layer at a time: the rows still walking
+    pick an edge, the rows that failed earlier draw their tail coordinate.
     """
+    if count < 1:
+        raise ShapeMismatch(f"count must be at least 1, got {count}")
     if failure_probability(dag) <= 0.0:
         raise ZeroDiscrepancy("the coupling never fails; nothing to condition on")
     tables = _walk_tables(dag)
-    comp = dag.mix_p.components
+    cum_comp = np.cumsum(dag.mix_p.components, axis=2)  # (k1, n, q)
     qq, n = dag.q, dag.n
-    out: list[int] = []
-    depth, row = 0, 0
-    while True:
-        slot = _pick_index(rng, tables[depth][row])
-        band, c = divmod(slot, qq)
-        out.append(c)
-        if band == 0:
-            row = int(dag._layers[depth].child1[row])
-        elif band == 1:
-            row = int(dag._layers[depth].child2[row, c])
-        else:
-            weights = dag._layers[depth].upd_alpha[row, :, c]
-            s = _pick_index(rng, np.cumsum(weights))
-            if depth + 1 < n:
-                out.extend(_pick_rows(rng, np.cumsum(comp[s, depth + 1 :], axis=1)).tolist())
-            return tuple(out)
-        depth += 1
+    u = rng.random((count, n + 1))
+    out = np.empty((count, n), dtype=np.int64)
+    walking = np.arange(count)  # draws still on the DAG
+    rows = np.zeros(count, dtype=np.int64)  # their states in the current layer
+    failed = np.zeros(0, dtype=np.int64)  # draws past their failure layer
+    component = np.zeros(0, dtype=np.int64)  # their P-side components
+    for depth in range(n):
+        if failed.size:
+            out[failed, depth] = _pick_rows(u[failed, depth + 1], cum_comp[component, depth])
+        if not walking.size:
+            continue
+        lay = dag._layers[depth]
+        band, c = np.divmod(_pick_rows(u[walking, depth], tables[depth][rows]), qq)
+        out[walking, depth] = c
+        fail = band == 2
+        if fail.any():
+            weights = np.cumsum(lay.upd_alpha[rows[fail], :, c[fail]], axis=1)
+            failed = np.concatenate([failed, walking[fail]])
+            component = np.concatenate([component, _pick_rows(u[walking[fail], depth + 1], weights)])
+            stay = ~fail
+            walking, rows, band, c = walking[stay], rows[stay], band[stay], c[stay]
+        rows = np.where(band == 0, lay.child1[rows], lay.child2[rows, c])
+    if walking.size:
+        raise FactViolation(f"{walking.size} of {count} draws never reached the failure sink")
+    return out
+
+
+def sample_failed_trajectory(dag: CouplingDag, rng: np.random.Generator) -> tuple[int, ...]:
+    """One sample conditioned on failure: a one-row :func:`sample_failed_trajectories` call."""
+    return tuple(sample_failed_trajectories(dag, rng, 1)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,15 @@ averaged over samples of the first coordinate sequence conditioned on the
 coupling failing.  With the theoretical sample count the result lies within
 a ``(1 +/- epsilon)`` factor of the true distance with probability at least
 99%.  Each repetition is one sequential loop over blocks of draws: draw the
-failed trajectories of a block, evaluate the integrand on the whole block
-with one batched call (:func:`f_values`), and add the values to the running
-sum in draw order.
+failed trajectories of a block with one batched walk
+(:func:`~mixtv.coupling.sample_failed_trajectories`), evaluate the integrand
+on the whole block with one batched call (:func:`f_values`), and add the
+values to the running sum in draw order.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,15 +27,15 @@ from .coupling import (
     build_dag,
     failure_masses,
     failure_probability,
-    sample_failed_trajectory,
+    sample_failed_trajectories,
 )
 from .errors import FactViolation, ShapeMismatch, TooLarge, ZeroDenominator
 from .model import Mixture, as_configuration, as_configurations, masses
 
-# The one-configuration forms of what f_values computes.  The estimator does
-# not call them, but they stay bound here: perfbench/tracing.py wraps them on
+# The one-row forms of what the block loop computes.  The estimator does not
+# call them, but they stay bound here: perfbench/tracing.py wraps them on
 # this module.
-from .coupling import evaluate_failure_mass  # noqa: F401
+from .coupling import evaluate_failure_mass, sample_failed_trajectory  # noqa: F401
 from .model import mass  # noqa: F401
 
 # Ratios may exceed 1 by at most this before they count as a coupling bug.
@@ -179,13 +179,13 @@ def approximate_tv(
         )
         acc = 0.0
         for start in range(0, draws, BLOCK):
-            omegas = [
-                sample_failed_trajectory(dag, rng) for _ in range(min(BLOCK, draws - start))
-            ]
+            omegas = sample_failed_trajectories(dag, rng, min(BLOCK, draws - start))
             for value in f_values(p, q, dag, omegas).tolist():
                 acc += value
         fbars.append(acc / draws)
-    fbar = statistics.median(fbars)
+    fbars.sort()
+    mid = len(fbars) // 2
+    fbar = fbars[mid] if len(fbars) % 2 else (fbars[mid - 1] + fbars[mid]) / 2
     return TvEstimate(
         estimate=fbar * discrepancy,
         discrepancy=discrepancy,

@@ -1,5 +1,6 @@
 import json
 from collections import Counter, defaultdict
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from mixtv import coupling
 from conftest import lex_configs, mixture, point_mass, uniform_bits
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+# Doubles at the edges of [0, 1] and at ties of the cumulative rows below.
+EDGE_DOUBLES = (0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0)
 
 
 @st.composite
@@ -47,13 +50,25 @@ def dense_failure_mass(dag, sigma):
     return float(psi[0])
 
 
+def pick_index(rng, cumulative):
+    """One inverse-CDF pick on a cumulative row, with the upper-edge clip and
+    the rule that a tie goes to the first of the tied slots."""
+    u = rng.random() * cumulative[-1]
+    slot = int(np.searchsorted(cumulative, u, side="right"))
+    if slot >= cumulative.shape[0]:  # roundoff at the upper edge
+        slot = cumulative.shape[0] - 1
+    while slot > 0 and cumulative[slot] == cumulative[slot - 1]:
+        slot -= 1
+    return slot
+
+
 def scalar_trajectory(dag, rng):
-    """The failure-conditioned walk with one scalar draw per tail coordinate."""
+    """The failure-conditioned walk, one scalar pick per layer and per tail coordinate."""
     tables = coupling._walk_tables(dag)
     comp = dag.mix_p.components
     out, depth, row = [], 0, 0
     while True:
-        band, c = divmod(coupling._pick_index(rng, tables[depth][row]), dag.q)
+        band, c = divmod(pick_index(rng, tables[depth][row]), dag.q)
         out.append(c)
         lay = dag._layers[depth]
         if band == 0:
@@ -61,9 +76,9 @@ def scalar_trajectory(dag, rng):
         elif band == 1:
             row = int(lay.child2[row, c])
         else:
-            s = coupling._pick_index(rng, np.cumsum(lay.upd_alpha[row, :, c]))
+            s = pick_index(rng, np.cumsum(lay.upd_alpha[row, :, c]))
             for i in range(depth + 1, dag.n):
-                out.append(coupling._pick_index(rng, np.cumsum(comp[s, i])))
+                out.append(pick_index(rng, np.cumsum(comp[s, i])))
             return tuple(out)
         depth += 1
 
@@ -77,8 +92,9 @@ class ScriptedRng:
     def random(self, size=None):
         if size is None:
             return self.values.pop(0)
-        out, self.values = self.values[:size], self.values[size:]
-        return np.array(out)
+        count = int(np.prod(size))
+        out, self.values = self.values[:count], self.values[count:]
+        return np.array(out).reshape(size)
 
 
 def assert_merged_and_canonical(dag):
@@ -579,7 +595,7 @@ class TestSampleFailedTrajectory:
         table = mx.failure_mass_table(dag)
         rng = np.random.default_rng(77)
         n_draws = 40_000
-        counts = Counter(mx.sample_failed_trajectory(dag, rng) for _ in range(n_draws))
+        counts = Counter(map(tuple, mx.sample_failed_trajectories(dag, rng, n_draws).tolist()))
         for idx, cfg in enumerate(lex_configs(2, 3)):
             pi = table[idx] / pf
             emp = counts.get(cfg, 0) / n_draws
@@ -595,7 +611,7 @@ class TestSampleFailedTrajectory:
         table = mx.failure_mass_table(dag)
         rng = np.random.default_rng(99)
         n_draws = 100_000
-        counts = Counter(mx.sample_failed_trajectory(dag, rng) for _ in range(n_draws))
+        counts = Counter(map(tuple, mx.sample_failed_trajectories(dag, rng, n_draws).tolist()))
         for idx, cfg in enumerate(lex_configs(2, 2)):
             pi = table[idx] / pf
             emp = counts.get(cfg, 0) / n_draws
@@ -627,10 +643,58 @@ class TestSampleFailedTrajectory:
             ],
             axis=1,
         )
-        for u in (0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0):
-            rows = coupling._pick_rows(ScriptedRng([u] * len(cumulative)), cumulative)
-            expect = [coupling._pick_index(ScriptedRng([u]), row) for row in cumulative]
+        for u in EDGE_DOUBLES:
+            rows = coupling._pick_rows(np.full(len(cumulative), u), cumulative)
+            expect = [pick_index(ScriptedRng([u]), row) for row in cumulative]
             assert rows.tolist() == expect
+
+    @pytest.mark.parametrize("family", ["general", "subcube"])
+    @pytest.mark.parametrize("count", [1, 7, 256])
+    def test_blocks_match_sequential_scalar_walks(self, family, count):
+        # The subcube pair has marginals 0 and 1, so its cumulative rows tie.
+        p, q = mx.random_instance(6, 2 if family == "subcube" else 3, 3, 2, seed=8, family=family)
+        dag = mx.build_dag(p, q)
+        batched, scalar = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(3):
+            block = mx.sample_failed_trajectories(dag, batched, count)
+            assert block.shape == (count, 6) and block.dtype == np.int64
+            assert [tuple(row) for row in block.tolist()] == [
+                scalar_trajectory(dag, scalar) for _ in range(count)
+            ]
+        assert batched.random() == scalar.random()
+
+    @pytest.mark.parametrize("family", ["general", "subcube"])
+    def test_edge_doubles_pick_like_the_scalar_walk(self, family):
+        # Every assignment of the edge and tie doubles to the n + 1 doubles of
+        # a draw, so each one reaches the slot pick of every layer, the
+        # component pick and the tail picks.
+        p, q = mx.random_instance(3, 2, 3, 2, seed=8 if family == "general" else 3, family=family)
+        dag = mx.build_dag(p, q)
+        if family == "subcube":  # tied walk-table and component rows
+            assert any((np.diff(t, axis=1) == 0.0).any() for t in coupling._walk_tables(dag))
+            assert any((lay.upd_alpha[:, 1:] == 0.0).any() for lay in dag._layers[:-1])
+        script = [u for combo in product(EDGE_DOUBLES, repeat=4) for u in combo]
+        block = mx.sample_failed_trajectories(dag, ScriptedRng(script), len(script) // 4)
+        scalar = ScriptedRng(script)
+        assert [tuple(row) for row in block.tolist()] == [
+            scalar_trajectory(dag, scalar) for _ in range(len(block))
+        ]
+        assert scalar.values == []
+
+    def test_non_positive_count_is_a_shape_error(self, uniform2, point00):
+        dag = mx.build_dag(uniform2, point00)
+        for count in (0, -1):
+            with pytest.raises(mx.ShapeMismatch):
+                mx.sample_failed_trajectories(dag, np.random.default_rng(0), count)
+
+    def test_walk_that_never_fails_is_a_fact_violation(self, uniform2, point00, monkeypatch):
+        # All weight on the Type-I edge at value 0, whose child exists at
+        # every layer: no draw reaches the failure sink.
+        dag = mx.build_dag(uniform2, point00)
+        never = [np.ones_like(table) for table in coupling._walk_tables(dag)]
+        monkeypatch.setattr(dag, "_walk_tables", never)
+        with pytest.raises(mx.FactViolation, match="never reached the failure sink"):
+            mx.sample_failed_trajectories(dag, np.random.default_rng(0), 5)
 
     def test_sampling_is_thread_safe(self, uniform2, point00):
         # No shared mutable state: per-thread streams reproduce the

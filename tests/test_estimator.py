@@ -1,5 +1,6 @@
 import statistics
 
+import numpy as np
 import pytest
 
 import mixtv as mx
@@ -135,11 +136,26 @@ class TestApproximateTv:
 
     def test_repetitions_stay_deterministic(self):
         p, q = mx.random_instance(2, 2, 2, 2, seed=8)
-        cfg = mx.EstimatorConfig(epsilon=0.5, seed=3, samples_override=101, repetitions=3)
-        a = mx.approximate_tv(p, q, cfg)
-        b = mx.approximate_tv(p, q, cfg)
-        assert a.estimate == b.estimate
-        assert a.estimate == a.fbar * a.discrepancy
+        dag = mx.build_dag(p, q)
+        for repetitions in (3, 4):
+            cfg = mx.EstimatorConfig(
+                epsilon=0.5, seed=3, samples_override=101, repetitions=repetitions
+            )
+            a = mx.approximate_tv(p, q, cfg)
+            b = mx.approximate_tv(p, q, cfg)
+            assert a.estimate == b.estimate
+            assert a.estimate == a.fbar * a.discrepancy
+            # The median of the repetitions' means, bit for bit.  101 draws
+            # are one block, so each mean is one draw-order sum of f_values.
+            fbars = []
+            for rep in range(repetitions):
+                seq = np.random.SeedSequence(entropy=3, spawn_key=(rep, 0))
+                sigmas = mx.sample_failed_trajectories(dag, np.random.default_rng(seq), 101)
+                acc = 0.0
+                for value in mx.f_values(p, q, dag, sigmas).tolist():
+                    acc += value
+                fbars.append(acc / 101)
+            assert a.fbar == statistics.median(fbars)
 
     def test_unbiased_over_seeds(self):
         p, q = mx.random_instance(3, 2, 2, 2, seed=9)
