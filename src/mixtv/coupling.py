@@ -14,13 +14,15 @@ states is a layered DAG with three transition kinds:
   one previously active component becomes inactive;
 * Type-III -- mismatch ``(c, c')``, absorbing failure sink.
 
-Dynamic programs over the DAG answer the discrepancy and conditional-sampling
-queries used by the Monte Carlo estimator.  Both block queries advance one
-layer at a time: the sampling query walks a block of failure-conditioned
-draws down the DAG together, and the evaluation query is one forward pass
-per block of configurations over the states whose paths agree with them.  A
-direct trajectory simulator (:func:`simulate_coupling`) provides an
-independent path for statistical cross-validation of the DAG.
+:func:`build_dag` returns the DAG complete: after the forward pass over the
+layers, one backward pass fills each state's failure probability and the
+cumulative edge weights of the failure-conditioned walk, so the discrepancy
+is a table read.  Both block queries advance one layer at a time: the
+sampling query walks a block of failure-conditioned draws down the DAG
+together, and the evaluation query is one forward pass per block of
+configurations over the states whose paths agree with them.  A direct
+trajectory simulator (:func:`simulate_coupling`) provides an independent
+path for statistical cross-validation of the DAG.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     TooLarge,
     ZeroDiscrepancy,
 )
-from .model import Mixture, as_configuration, as_configurations, check_same_domain
+from .model import Mixture, as_configurations, check_same_domain, config_count
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,7 @@ class Transition:
 
 @dataclass
 class _Layer:
-    """Vectorized per-layer tables; row ``m`` is the ``m``-th state of the layer."""
+    """Per-layer tables, all filled by :func:`build_dag`; row ``m`` is the ``m``-th state."""
 
     alpha: np.ndarray  # (M, k1) current P-side weights
     beta: np.ndarray  # (M, k2)
@@ -101,7 +103,8 @@ class _Layer:
     child1: np.ndarray | None = None  # (M,) row of the shared Type-I child, -1 if none
     child2: np.ndarray | None = None  # (M, q) row of the Type-II child per value
     upd_alpha: np.ndarray | None = None  # (M, k1, q) reweighted P-side per value
-    pfail: np.ndarray | None = None  # (M,) filled by failure_probability
+    walk: np.ndarray | None = None  # (M, 3q) cumsum of [w1 pf(child1) | w2 pf(child2) | res_p]
+    pfail: np.ndarray | None = None  # (M,) probability that the coupling fails from here
 
     @property
     def size(self) -> int:
@@ -119,8 +122,9 @@ def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 class CouplingDag:
     """Explicit state graph of the recursive coupling of two mixtures.
 
-    Immutable once built (the failure-probability table is filled in on
-    first use and then cached); all queries may run concurrently.
+    Built whole by :func:`build_dag` and read-only afterwards (only the
+    path-key views are computed on first use); all queries may run
+    concurrently.
     """
 
     def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer]):
@@ -128,7 +132,6 @@ class CouplingDag:
         self.mix_q = mix_q
         self._layers = layers
         self._keys: list[list[tuple[int, ...]]] | None = None
-        self._walk_tables: list[np.ndarray] | None = None
 
     # -- basic shape ------------------------------------------------------
 
@@ -192,11 +195,6 @@ class CouplingDag:
             self._keys = keys
         return self._keys
 
-    @property
-    def root(self) -> State:
-        lay = self._layers[0]
-        return State(1, (), lay.alpha[0].copy(), lay.beta[0].copy())
-
     def iter_states(self) -> Iterator[State]:
         """All non-failure states in (layer, creation index) order."""
         for depth, (lay, keys) in enumerate(zip(self._layers, self._path_keys())):
@@ -234,7 +232,6 @@ class CouplingDag:
 
     def pfail_map(self) -> dict[tuple[int, ...], float]:
         """Failure probability per state, keyed by path key (sink excluded)."""
-        failure_probability(self)
         out: dict[tuple[int, ...], float] = {}
         for lay, keys in zip(self._layers, self._path_keys()):
             for m in range(lay.size):
@@ -258,7 +255,6 @@ class CouplingDag:
 
     def to_dict(self) -> dict:
         """Full diagnostic dump (states, transitions, failure table)."""
-        failure_probability(self)
         pfail = self.pfail_map()
         states = [
             {
@@ -325,6 +321,24 @@ def _merge_equal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep, (np.cumsum(keep) - 1)[rep]
 
 
+def _reweighted(
+    w: np.ndarray, marg: np.ndarray, ell: np.ndarray, bar: np.ndarray, deg: np.ndarray
+) -> np.ndarray:
+    """One side's reweighted weights per value, ``(M, k, q)``.
+
+    ``w * (marg - ell) / (bar - ell)`` where the side is not degenerate and
+    the denominator is positive, and ``w`` unchanged elsewhere.
+    """
+    den = bar - ell
+    ok = (~deg & (den > 0.0))[:, None, :]
+    # An inactive component may have a marginal below ell; clamping its
+    # excess at +0.0 keeps its reweighted weight +0.0 instead of -0.0.
+    # Active components have marginals at least ell, so theirs is exact.
+    num = w[:, :, None] * np.maximum(marg[None, :, :] - ell[:, None, :], 0.0)
+    quot = np.divide(num, den[:, None, :], out=np.zeros_like(num), where=ok)
+    return np.where(ok, quot, w[:, :, None])
+
+
 def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> CouplingDag:
     """Expand the recursive coupling of ``p`` and ``q`` breadth-first by layer.
 
@@ -338,7 +352,9 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     ``parent`` and ``symbol``.  Byte-equal rows get byte-equal tables, so the
     merge changes no edge weight, failure probability or sampled value.
     Weights are stored with canonical zeros (never ``-0.0``), so equal
-    reweightings are byte-equal.
+    reweightings are byte-equal.  After the last layer, one backward pass
+    fills each state's failure probability ``pfail`` and the cumulative
+    weights ``walk`` of the failure-conditioned walk.
 
     Parameters
     ----------
@@ -391,24 +407,8 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         lay.res_q = np.maximum(qbar - pbar, 0.0)
         lay.res_total = lay.res_p.sum(axis=1)
 
-        # An inactive component may have a marginal below ell; clamping its
-        # excess at +0.0 keeps its reweighted weight +0.0 instead of -0.0.
-        # Active components have marginals at least ell, so theirs is exact.
-        den_p = pbar - ell
-        ok_p = ~deg_p & (den_p > 0.0)
-        num_a = a[:, :, None] * np.maximum(pj[None, :, :] - ell[:, None, :], 0.0)
-        quot_a = np.divide(
-            num_a, den_p[:, None, :], out=np.zeros_like(num_a), where=ok_p[:, None, :]
-        )
-        lay.upd_alpha = np.where(ok_p[:, None, :], quot_a, a[:, :, None])
-
-        den_q = qbar - ell
-        ok_q = ~deg_q & (den_q > 0.0)
-        num_b = b[:, :, None] * np.maximum(qj[None, :, :] - ell[:, None, :], 0.0)
-        quot_b = np.divide(
-            num_b, den_q[:, None, :], out=np.zeros_like(num_b), where=ok_q[:, None, :]
-        )
-        upd_beta = np.where(ok_q[:, None, :], quot_b, b[:, :, None])
+        lay.upd_alpha = _reweighted(a, pj, ell, pbar, deg_p)
+        upd_beta = _reweighted(b, qj, ell, qbar, deg_q)
 
         has1 = lay.w1.sum(axis=1) > 0.0
         n1 = int(has1.sum())
@@ -441,6 +441,14 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
             )
         )
 
+    layers[-1].pfail = np.zeros(layers[-1].size)
+    for depth in range(n - 1, -1, -1):
+        lay, nxt = layers[depth], layers[depth + 1].pfail
+        pf1 = _gather(nxt, lay.child1)
+        pf2 = lay.w2 * _gather(nxt, lay.child2)
+        lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_total
+        slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
+        lay.walk = np.cumsum(slots, axis=1)
     return CouplingDag(p, q, layers)
 
 
@@ -450,21 +458,13 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
 
 
 def failure_probability(dag: CouplingDag) -> float:
-    """Probability that the coupling fails, by backward DP over the layers.
+    """Probability that the coupling fails: the root's entry of the failure table.
 
-    Fills the per-state failure table on first use.  Always at least the
-    total variation distance of the two mixtures (coupling inequality).
+    :func:`build_dag` fills the table by backward DP over the layers.  Always
+    at least the total variation distance of the two mixtures (coupling
+    inequality).
     """
-    layers = dag._layers
-    if layers[0].pfail is None:
-        layers[-1].pfail = np.zeros(layers[-1].size)
-        for depth in range(len(layers) - 2, -1, -1):
-            lay = layers[depth]
-            nxt = layers[depth + 1].pfail
-            pf1 = _gather(nxt, lay.child1)
-            pf2 = _gather(nxt, lay.child2)
-            lay.pfail = lay.w1.sum(axis=1) * pf1 + (lay.w2 * pf2).sum(axis=1) + lay.res_total
-    return float(layers[0].pfail[0])
+    return float(dag._layers[0].pfail[0])
 
 
 # Configurations per failure_masses call in failure_mass_table, and draws per
@@ -524,9 +524,9 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
 def evaluate_failure_mass(dag: CouplingDag, sigma: Sequence[int]) -> float:
     """Probability that the coupling fails with first sample exactly ``sigma``.
 
-    A validated one-row :func:`failure_masses` call.
+    A one-row :func:`failure_masses` call.
     """
-    return float(failure_masses(dag, as_configuration(dag.mix_p, sigma)[None, :])[0])
+    return float(failure_masses(dag, [sigma])[0])
 
 
 def failure_mass_table(dag: CouplingDag, max_configs: int = 2**14) -> np.ndarray:
@@ -534,11 +534,7 @@ def failure_mass_table(dag: CouplingDag, max_configs: int = 2**14) -> np.ndarray
 
     One :func:`failure_masses` call per :data:`BLOCK` configurations.
     """
-    if max_configs < 1:
-        raise ShapeMismatch(f"max_configs must be at least 1, got {max_configs}")
-    total = dag.q**dag.n
-    if total > max_configs:
-        raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
+    total = config_count(dag.mix_p, max_configs)
     configs = np.array(list(product(range(dag.q), repeat=dag.n)), dtype=np.int64)
     return np.concatenate(
         [failure_masses(dag, configs[i : i + BLOCK]) for i in range(0, total, BLOCK)]
@@ -548,27 +544,6 @@ def failure_mass_table(dag: CouplingDag, max_configs: int = 2**14) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Conditional sampling
 # ---------------------------------------------------------------------------
-
-
-def _walk_tables(dag: CouplingDag) -> list[np.ndarray]:
-    """Per-layer cumulative weights of the failure-conditioned walk.
-
-    Row ``m`` holds the cumulative sums of ``3q`` slots: Type-I edges per
-    value (weight times child failure probability), then Type-II edges per
-    value, then aggregated Type-III mass per first-sample value.
-    """
-    if dag._walk_tables is None:
-        failure_probability(dag)
-        tables = []
-        layers = dag._layers
-        for depth in range(dag.n):
-            lay = layers[depth]
-            nxt = layers[depth + 1].pfail
-            pf1 = _gather(nxt, lay.child1)[:, None] * lay.w1
-            pf2 = _gather(nxt, lay.child2) * lay.w2
-            tables.append(np.cumsum(np.concatenate([pf1, pf2, lay.res_p], axis=1), axis=1))
-        dag._walk_tables = tables
-    return dag._walk_tables
 
 
 def _pick_rows(u: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
@@ -610,7 +585,6 @@ def sample_failed_trajectories(
         raise ShapeMismatch(f"count must be at least 1, got {count}")
     if failure_probability(dag) <= 0.0:
         raise ZeroDiscrepancy("the coupling never fails; nothing to condition on")
-    tables = _walk_tables(dag)
     cum_comp = np.cumsum(dag.mix_p.components, axis=2)  # (k1, n, q)
     qq, n = dag.q, dag.n
     u = rng.random((count, n + 1))
@@ -625,7 +599,7 @@ def sample_failed_trajectories(
         if not walking.size:
             continue
         lay = dag._layers[depth]
-        band, c = np.divmod(_pick_rows(u[walking, depth], tables[depth][rows]), qq)
+        band, c = np.divmod(_pick_rows(u[walking, depth], lay.walk[rows]), qq)
         out[walking, depth] = c
         fail = band == 2
         if fail.any():

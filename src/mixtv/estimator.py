@@ -30,7 +30,7 @@ from .coupling import (
     sample_failed_trajectories,
 )
 from .errors import FactViolation, ShapeMismatch, TooLarge, ZeroDenominator
-from .model import Mixture, as_configuration, as_configurations, masses
+from .model import Mixture, as_configurations, masses
 
 # The one-row forms of what the block loop computes.  The estimator does not
 # call them, but they stay bound here: perfbench/tracing.py wraps them on
@@ -133,7 +133,7 @@ def f_values(
 
 def f_value(p: Mixture, q: Mixture, dag: CouplingDag, omega: Sequence[int]) -> float:
     """The estimator integrand at ``omega``: a one-row :func:`f_values` call."""
-    return float(f_values(p, q, dag, as_configuration(p, omega)[None, :])[0])
+    return float(f_values(p, q, dag, [omega])[0])
 
 
 def approximate_tv(
@@ -155,37 +155,29 @@ def approximate_tv(
     dag = build_dag(p, q, max_states=max_states)
     discrepancy = failure_probability(dag)
     gamma = theoretical_gamma(p.n, p.q, p.k, q.k)
-    if discrepancy == 0.0:
-        return TvEstimate(
-            estimate=0.0,
-            discrepancy=0.0,
-            fbar=0.0,
-            gamma=gamma,
-            samples=0,
-            seed=config.seed,
-            elapsed=time.perf_counter() - t0,
+    fbar, draws = 0.0, 0
+    if discrepancy != 0.0:
+        draws = (
+            config.samples_override
+            if config.samples_override is not None
+            else sample_count(gamma, config.epsilon)
         )
-    draws = (
-        config.samples_override
-        if config.samples_override is not None
-        else sample_count(gamma, config.epsilon)
-    )
-    fbars = []
-    for rep in range(config.repetitions):
-        # The trailing 0 of the spawn key is part of the stream: removing it
-        # would change every estimate.
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, 0))
-        )
-        acc = 0.0
-        for start in range(0, draws, BLOCK):
-            omegas = sample_failed_trajectories(dag, rng, min(BLOCK, draws - start))
-            for value in f_values(p, q, dag, omegas).tolist():
-                acc += value
-        fbars.append(acc / draws)
-    fbars.sort()
-    mid = len(fbars) // 2
-    fbar = fbars[mid] if len(fbars) % 2 else (fbars[mid - 1] + fbars[mid]) / 2
+        fbars = []
+        for rep in range(config.repetitions):
+            # The trailing 0 of the spawn key is part of the stream: removing it
+            # would change every estimate.
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, 0))
+            )
+            acc = 0.0
+            for start in range(0, draws, BLOCK):
+                omegas = sample_failed_trajectories(dag, rng, min(BLOCK, draws - start))
+                for value in f_values(p, q, dag, omegas).tolist():
+                    acc += value
+            fbars.append(acc / draws)
+        fbars.sort()
+        mid = len(fbars) // 2
+        fbar = fbars[mid] if len(fbars) % 2 else (fbars[mid - 1] + fbars[mid]) / 2
     return TvEstimate(
         estimate=fbar * discrepancy,
         discrepancy=discrepancy,

@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NormalizationError, NotAProbability, ShapeMismatch
+from .errors import NormalizationError, NotAProbability, ShapeMismatch, TooLarge
 
 # Rows (weights and marginals) whose sum deviates from 1 by more than this
 # are rejected; smaller deviations are renormalized away.
@@ -143,16 +143,6 @@ def check_same_domain(p: Mixture, q: Mixture) -> None:
         )
 
 
-def as_configuration(m: Mixture, values: Sequence[int]) -> np.ndarray:
-    """Coerce ``values`` to an int configuration array and range-check it."""
-    cfg = np.asarray(values, dtype=np.int64)
-    if cfg.ndim != 1 or cfg.shape[0] != m.n:
-        raise ShapeMismatch(f"configuration of length {cfg.shape} for n={m.n}")
-    if cfg.size and ((cfg < 0).any() or (cfg >= m.q).any()):
-        raise ShapeMismatch(f"configuration values must lie in 0..{m.q - 1}")
-    return cfg
-
-
 def as_configurations(m: Mixture, values: Sequence[Sequence[int]]) -> np.ndarray:
     """Coerce ``values`` to a ``(B, n)`` int array of configurations and range-check it."""
     cfgs = np.asarray(values, dtype=np.int64)
@@ -161,6 +151,20 @@ def as_configurations(m: Mixture, values: Sequence[Sequence[int]]) -> np.ndarray
     if cfgs.size and ((cfgs < 0).any() or (cfgs >= m.q).any()):
         raise ShapeMismatch(f"configuration values must lie in 0..{m.q - 1}")
     return cfgs
+
+
+def config_count(m: Mixture, max_configs: int) -> int:
+    """The number ``q^n`` of configurations of ``m``, guarded for enumeration.
+
+    A limit below 1 is bad input (:class:`ShapeMismatch`); a count above it
+    is :class:`TooLarge`.
+    """
+    if max_configs < 1:
+        raise ShapeMismatch(f"max_configs must be at least 1, got {max_configs}")
+    total = m.q**m.n
+    if total > max_configs:
+        raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
+    return total
 
 
 def masses(m: Mixture, configs: Sequence[Sequence[int]]) -> np.ndarray:
@@ -186,7 +190,7 @@ def mass(m: Mixture, omega: Sequence[int]) -> float:
     Evaluates in O(nk) arithmetic operations, as the one-row block of
     :func:`masses` (same arithmetic order).
     """
-    return float(masses(m, as_configuration(m, omega)[None, :])[0])
+    return float(masses(m, [omega])[0])
 
 
 # ---------------------------------------------------------------------------

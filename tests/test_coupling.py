@@ -64,13 +64,12 @@ def pick_index(rng, cumulative):
 
 def scalar_trajectory(dag, rng):
     """The failure-conditioned walk, one scalar pick per layer and per tail coordinate."""
-    tables = coupling._walk_tables(dag)
     comp = dag.mix_p.components
     out, depth, row = [], 0, 0
     while True:
-        band, c = divmod(pick_index(rng, tables[depth][row]), dag.q)
-        out.append(c)
         lay = dag._layers[depth]
+        band, c = divmod(pick_index(rng, lay.walk[row]), dag.q)
+        out.append(c)
         if band == 0:
             row = int(lay.child1[row])
         elif band == 1:
@@ -394,6 +393,28 @@ class TestDagInvariants:
             assert pf >= tv - 1e-9
             assert pf <= (4 * p.n * p.q) ** (p.k + q.k - 1) * tv + 1e-9
 
+    def test_walk_rows_end_at_the_failure_probability(self, random_dags):
+        for _, _, dag in random_dags:
+            for lay in dag._layers[:-1]:
+                np.testing.assert_allclose(lay.walk[:, -1], lay.pfail, rtol=1e-12, atol=0.0)
+                assert (np.diff(lay.walk, axis=1) >= 0.0).all()
+
+    def test_queries_read_the_tables_build_dag_filled(self, monkeypatch):
+        # build_dag runs the backward pass; no query may run it again.
+        p, q = mx.random_instance(3, 2, 2, 2, seed=5)
+        dag = mx.build_dag(p, q)
+
+        def backward_pass_again(*args):
+            raise AssertionError("_gather ran after build_dag")
+
+        monkeypatch.setattr(coupling, "_gather", backward_pass_again)
+        discrepancy = mx.failure_probability(dag)
+        assert discrepancy > 0.0
+        assert dag.pfail_map()[()] == discrepancy
+        assert dag.to_dict()["statistics"]["discrepancy"] == discrepancy
+        assert mx.failure_masses(dag, lex_configs(3, 2)).sum() == pytest.approx(discrepancy)
+        assert mx.sample_failed_trajectories(dag, np.random.default_rng(0), 8).shape == (8, 3)
+
     def test_build_is_bit_reproducible(self):
         p, q = mx.random_instance(4, 3, 3, 2, seed=13)
         d1, d2 = mx.build_dag(p, q), mx.build_dag(p, q)
@@ -671,7 +692,7 @@ class TestSampleFailedTrajectory:
         p, q = mx.random_instance(3, 2, 3, 2, seed=8 if family == "general" else 3, family=family)
         dag = mx.build_dag(p, q)
         if family == "subcube":  # tied walk-table and component rows
-            assert any((np.diff(t, axis=1) == 0.0).any() for t in coupling._walk_tables(dag))
+            assert any((np.diff(lay.walk, axis=1) == 0.0).any() for lay in dag._layers[:-1])
             assert any((lay.upd_alpha[:, 1:] == 0.0).any() for lay in dag._layers[:-1])
         script = [u for combo in product(EDGE_DOUBLES, repeat=4) for u in combo]
         block = mx.sample_failed_trajectories(dag, ScriptedRng(script), len(script) // 4)
@@ -691,15 +712,14 @@ class TestSampleFailedTrajectory:
         # All weight on the Type-I edge at value 0, whose child exists at
         # every layer: no draw reaches the failure sink.
         dag = mx.build_dag(uniform2, point00)
-        never = [np.ones_like(table) for table in coupling._walk_tables(dag)]
-        monkeypatch.setattr(dag, "_walk_tables", never)
+        for lay in dag._layers[:-1]:
+            monkeypatch.setattr(lay, "walk", np.ones_like(lay.walk))
         with pytest.raises(mx.FactViolation, match="never reached the failure sink"):
             mx.sample_failed_trajectories(dag, np.random.default_rng(0), 5)
 
     def test_sampling_is_thread_safe(self, uniform2, point00):
         # No shared mutable state: per-thread streams reproduce the
-        # single-threaded draws exactly, even while the walk tables are
-        # built lazily under contention.
+        # single-threaded draws exactly when four threads walk one DAG at once.
         from threading import Thread
 
         def draws(dag_, seed):
