@@ -17,12 +17,15 @@ states is a layered DAG with three transition kinds:
 :func:`build_dag` returns the DAG complete: after the forward pass over the
 layers, one backward pass fills each state's failure probability and the
 cumulative edge weights of the failure-conditioned walk, so the discrepancy
-is a table read.  Both block queries advance one layer at a time: the
-sampling query walks a block of failure-conditioned draws down the DAG
-together, and the evaluation query is one forward pass per block of
-configurations over the states whose paths agree with them.  A direct
-trajectory simulator (:func:`simulate_coupling`) provides an independent
-path for statistical cross-validation of the DAG.
+is a table read.  The forward pass does full work only at layers where the
+states change: a layer whose states take only Type-I edges passes them on
+as they are, and a run of such layers at coordinates with byte-equal
+marginals shares one set of transition tables.  Both block queries advance
+one layer at a time: the sampling query walks a block of failure-conditioned
+draws down the DAG together, and the evaluation query is one forward pass
+per block of configurations over the states whose paths agree with them.  A
+direct trajectory simulator (:func:`simulate_coupling`) provides an
+independent path for statistical cross-validation of the DAG.
 """
 
 from __future__ import annotations
@@ -87,7 +90,14 @@ class Transition:
 
 @dataclass
 class _Layer:
-    """Per-layer tables, all filled by :func:`build_dag`; row ``m`` is the ``m``-th state."""
+    """Per-layer tables, all filled by :func:`build_dag`; row ``m`` is the ``m``-th state.
+
+    Layers may share arrays: a layer reached only by Type-I edges holds its
+    parent layer's ``alpha`` and ``beta``, and a run of such layers at
+    coordinates with byte-equal marginals shares the forward tables
+    (``w1`` through ``upd_alpha``).  ``walk`` and ``pfail`` are each layer's
+    own.  Every array is read-only, so no write can reach several layers.
+    """
 
     alpha: np.ndarray  # (M, k1) current P-side weights
     beta: np.ndarray  # (M, k2)
@@ -109,6 +119,12 @@ class _Layer:
     @property
     def size(self) -> int:
         return int(self.alpha.shape[0])
+
+
+# The tables a layer's forward step computes from its states and its
+# coordinate's marginals; a carried-over layer at a repeated coordinate shares
+# them with the layer before.
+_FORWARD_TABLES = ("w1", "w2", "res_p", "res_q", "res_total", "child1", "child2", "upd_alpha")
 
 
 def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -352,15 +368,27 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     ``parent`` and ``symbol``.  Byte-equal rows get byte-equal tables, so the
     merge changes no edge weight, failure probability or sampled value.
     Weights are stored with canonical zeros (never ``-0.0``), so equal
-    reweightings are byte-equal.  After the last layer, one backward pass
-    fills each state's failure probability ``pfail`` and the cumulative
-    weights ``walk`` of the failure-conditioned walk.
+    reweightings are byte-equal.
+
+    A layer whose every state has a Type-I edge and none has a Type-II edge
+    keeps every reweighting, so the next layer reuses its ``alpha`` and
+    ``beta`` arrays with ``child1 = parent = arange(M)``; its rows are
+    already pairwise distinct, so the merge is skipped.  When the next
+    coordinate's marginals are byte-equal to this one's in every component,
+    the next layer's forward tables are the same function of the same
+    inputs, so it shares them and carries its states over again.  Either
+    way the tables hold exactly the bytes a full step would compute.
+
+    After the last layer, one backward pass fills each state's failure
+    probability ``pfail`` and the cumulative weights ``walk`` of the
+    failure-conditioned walk.  All stored arrays are then made read-only.
 
     Parameters
     ----------
     max_states : int, optional
         Abort with :class:`TooLarge` when the (merged) state count would
-        exceed this; a value below 1 is a :class:`ShapeMismatch`.
+        exceed this; a carried-over layer counts all its states.  A value
+        below 1 is a :class:`ShapeMismatch`.
     """
     check_same_domain(p, q)
     if max_states is not None and max_states < 1:
@@ -376,70 +404,94 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         raise NoActiveComponent("a mixture has no active component")
     layers = [root]
     count = 1
+    # repeat[j]: coordinate j's marginals are byte-equal to coordinate j - 1's
+    # in every component of both mixtures.
+    bits_p, bits_q = p.components.view(np.uint64), q.components.view(np.uint64)
+    repeat = [False] + (
+        (bits_p[:, 1:] == bits_p[:, :-1]).all(axis=(0, 2))
+        & (bits_q[:, 1:] == bits_q[:, :-1]).all(axis=(0, 2))
+    ).tolist()
 
     for depth in range(n):
         lay = layers[depth]
         m_here = lay.size
-        pj = p.components[:, depth, :]  # (k1, q)
-        qj = q.components[:, depth, :]  # (k2, q)
         a, b = lay.alpha, lay.beta
-        pbar = a @ pj  # (M, q)
-        qbar = b @ qj
-        act_a = (a > 0.0)[:, :, None]
-        act_b = (b > 0.0)[:, :, None]
-        min_p = np.where(act_a, pj[None, :, :], np.inf).min(axis=1)
-        max_p = np.where(act_a, pj[None, :, :], -np.inf).max(axis=1)
-        min_q = np.where(act_b, qj[None, :, :], np.inf).min(axis=1)
-        max_q = np.where(act_b, qj[None, :, :], -np.inf).max(axis=1)
-        ell = np.minimum(min_p, min_q)
+        if repeat[depth] and a is layers[depth - 1].alpha:
+            # The previous layer carried these states over and its coordinate
+            # has the same marginals, so its tables are this layer's, and
+            # this layer carries them over too.
+            prev = layers[depth - 1]
+            for name in _FORWARD_TABLES:
+                setattr(lay, name, getattr(prev, name))
+            carry = True
+        else:
+            pj = p.components[:, depth, :]  # (k1, q)
+            qj = q.components[:, depth, :]  # (k2, q)
+            pbar = a @ pj  # (M, q)
+            qbar = b @ qj
+            act_a = (a > 0.0)[:, :, None]
+            act_b = (b > 0.0)[:, :, None]
+            min_p = np.where(act_a, pj[None, :, :], np.inf).min(axis=1)
+            max_p = np.where(act_a, pj[None, :, :], -np.inf).max(axis=1)
+            min_q = np.where(act_b, qj[None, :, :], np.inf).min(axis=1)
+            max_q = np.where(act_b, qj[None, :, :], -np.inf).max(axis=1)
+            ell = np.minimum(min_p, min_q)
 
-        # Degeneracy is decided structurally (no active marginal above ell),
-        # which matches exact arithmetic even when the aggregated marginal
-        # rounds away from ell.
-        deg_p = ~(max_p > ell)
-        deg_q = ~(max_q > ell)
-        w2_raw = np.minimum(pbar, qbar) - ell
-        t2 = (w2_raw > 0.0) & ~deg_p & ~deg_q
+            # Degeneracy is decided structurally (no active marginal above
+            # ell), which matches exact arithmetic even when the aggregated
+            # marginal rounds away from ell.
+            deg_p = ~(max_p > ell)
+            deg_q = ~(max_q > ell)
+            w2_raw = np.minimum(pbar, qbar) - ell
+            t2 = (w2_raw > 0.0) & ~deg_p & ~deg_q
 
-        lay.w1 = ell
-        lay.w2 = np.where(t2, w2_raw, 0.0)
-        lay.res_p = np.maximum(pbar - qbar, 0.0)
-        lay.res_q = np.maximum(qbar - pbar, 0.0)
-        lay.res_total = lay.res_p.sum(axis=1)
+            lay.w1 = ell
+            lay.w2 = np.where(t2, w2_raw, 0.0)
+            lay.res_p = np.maximum(pbar - qbar, 0.0)
+            lay.res_q = np.maximum(qbar - pbar, 0.0)
+            lay.res_total = lay.res_p.sum(axis=1)
 
-        lay.upd_alpha = _reweighted(a, pj, ell, pbar, deg_p)
-        upd_beta = _reweighted(b, qj, ell, qbar, deg_q)
+            lay.upd_alpha = _reweighted(a, pj, ell, pbar, deg_p)
+            upd_beta = _reweighted(b, qj, ell, qbar, deg_q)
 
-        has1 = lay.w1.sum(axis=1) > 0.0
-        n1 = int(has1.sum())
-        par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
+            has1 = lay.w1.sum(axis=1) > 0.0
+            n1 = int(has1.sum())
+            par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
+            lay.child2 = np.full((m_here, qq), -1, dtype=np.int64)
+            # Only Type-I edges: every state passes on with its reweighting.
+            # A layer's rows are pairwise distinct (merged or carried over),
+            # so the merge would keep every row in place; it is skipped.
+            carry = n1 == m_here and par2.size == 0
+            if carry:
+                lay.child1 = np.arange(m_here)
+            else:
+                # Children in creation order: Type-I children by parent, then
+                # Type-II children by (parent, value).
+                alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
+                beta = np.concatenate([b[has1], upd_beta[par2, :, c2]], axis=0)
+                keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
+                lay.child1 = np.full(m_here, -1, dtype=np.int64)
+                lay.child1[has1] = index[:n1]
+                lay.child2[par2, c2] = index[n1:]
+                child = _Layer(
+                    alpha=alpha[keep],
+                    beta=beta[keep],
+                    parent=np.concatenate([np.flatnonzero(has1), par2])[keep],
+                    symbol=np.concatenate(
+                        [np.zeros(n1, dtype=np.int16), (c2 + 1).astype(np.int16)]
+                    )[keep],
+                )
+        if carry:
+            child = _Layer(
+                alpha=a, beta=b, parent=lay.child1, symbol=np.zeros(m_here, dtype=np.int16)
+            )
 
-        # Children in creation order: Type-I children by parent, then
-        # Type-II children by (parent, value).
-        alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
-        beta = np.concatenate([b[has1], upd_beta[par2, :, c2]], axis=0)
-        keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
-        lay.child1 = np.full(m_here, -1, dtype=np.int64)
-        lay.child1[has1] = index[:n1]
-        lay.child2 = np.full((m_here, qq), -1, dtype=np.int64)
-        lay.child2[par2, c2] = index[n1:]
-
-        count += int(keep.sum())
+        count += child.size
         if max_states is not None and count > max_states:
             raise TooLarge(
                 f"state count exceeded max_states={max_states} at layer {depth + 2}"
             )
-
-        layers.append(
-            _Layer(
-                alpha=alpha[keep],
-                beta=beta[keep],
-                parent=np.concatenate([np.flatnonzero(has1), par2])[keep],
-                symbol=np.concatenate(
-                    [np.zeros(n1, dtype=np.int16), (c2 + 1).astype(np.int16)]
-                )[keep],
-            )
-        )
+        layers.append(child)
 
     layers[-1].pfail = np.zeros(layers[-1].size)
     for depth in range(n - 1, -1, -1):
@@ -449,6 +501,10 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_total
         slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
         lay.walk = np.cumsum(slots, axis=1)
+    for lay in layers:
+        for table in vars(lay).values():
+            if table is not None:
+                table.flags.writeable = False
     return CouplingDag(p, q, layers)
 
 

@@ -430,8 +430,15 @@ class TestDagInvariants:
         assert d1.pfail_map() == d2.pfail_map()
 
 
-# float.hex of (estimate, discrepancy) of approximate_tv with 2000 samples,
-# recorded before states with byte-equal reweightings were merged.
+def estimate_hex(name, seed):
+    """float.hex of (estimate, discrepancy) of approximate_tv with 2000 samples."""
+    p, q = mx.parse_instance(json.loads((INSTANCES / name).read_text()))
+    est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=2000))
+    return est.estimate.hex(), est.discrepancy.hex()
+
+
+# estimate_hex values recorded before states with byte-equal reweightings
+# were merged.
 PINNED_ESTIMATES = {
     ("smoke-general-n2q2.json", 0): ("0x1.b523964d03565p-2", "0x1.e1112632560dep-2"),
     ("smoke-general-n2q2.json", 1): ("0x1.babedc3eefb81p-2", "0x1.e1112632560dep-2"),
@@ -478,12 +485,7 @@ class TestStateMerge:
 
     @pytest.mark.parametrize("name,seed", sorted(PINNED_ESTIMATES))
     def test_estimates_are_bit_identical_to_the_unmerged_tree(self, name, seed):
-        doc = json.loads((INSTANCES / name).read_text())
-        p, q = mx.parse_instance(doc)
-        est = mx.approximate_tv(
-            p, q, mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=2000)
-        )
-        assert (est.estimate.hex(), est.discrepancy.hex()) == PINNED_ESTIMATES[name, seed]
+        assert estimate_hex(name, seed) == PINNED_ESTIMATES[name, seed]
 
     def test_max_states_counts_merged_states(self):
         p, q = windowed_pair(0, n=30)
@@ -497,6 +499,96 @@ class TestStateMerge:
         for limit in (0, -1):
             with pytest.raises(mx.ShapeMismatch):
                 mx.build_dag(uniform2, point00, max_states=limit)
+
+
+# estimate_hex values of the 120-coordinate windowed subcube pair, recorded at
+# commit 9a40ffb, where every layer still ran the full forward step (before
+# Type-I-only layers carried their states over).
+PINNED_DEEP_ESTIMATES = {
+    ("smoke-subcube-deep-n120.json", 0): ("0x1.3b2881e3fbd41p-1", "0x1.e8b71c71c71c7p-1"),
+    ("smoke-subcube-deep-n120.json", 1): ("0x1.421f043fa0e8fp-1", "0x1.e8b71c71c71c7p-1"),
+    ("smoke-subcube-deep-n120.json", 2): ("0x1.412532096a177p-1", "0x1.e8b71c71c71c7p-1"),
+}
+
+
+def assert_tables_fit_their_layer(p, q, dag):
+    """Each layer's Type-I weights and P-side residuals are those of its own
+    states at its own coordinate, whatever tables the layer shares."""
+    for j, lay in enumerate(dag._layers[:-1]):
+        pj, qj = p.components[:, j], q.components[:, j]
+        min_p = np.where(lay.alpha[:, :, None] > 0.0, pj, np.inf).min(axis=1)
+        min_q = np.where(lay.beta[:, :, None] > 0.0, qj, np.inf).min(axis=1)
+        np.testing.assert_array_equal(lay.w1, np.minimum(min_p, min_q))
+        np.testing.assert_array_equal(lay.res_p, np.maximum(lay.alpha @ pj - lay.beta @ qj, 0.0))
+
+
+class TestCarryOver:
+    def test_runs_of_uniform_coordinates_share_states_and_tables(self):
+        p, q = windowed_pair(1, n=60)
+        dag = mx.build_dag(p, q)
+        uniform = [
+            bool((p.components[:, j] == 0.5).all() and (q.components[:, j] == 0.5).all())
+            for j in range(p.n)
+        ]
+        runs = [j for j in range(1, p.n) if uniform[j - 1] and uniform[j]]
+        assert len(runs) > 20
+        layers = dag._layers
+        for j in runs:
+            lay, prev = layers[j], layers[j - 1]
+            assert lay.alpha is prev.alpha and lay.beta is prev.beta
+            assert lay.w1 is prev.w1 and lay.upd_alpha is prev.upd_alpha
+            assert layers[j + 1].alpha is lay.alpha
+        assert_tables_fit_their_layer(p, q, dag)
+
+    def test_agreeing_coordinates_with_different_rows_get_their_own_tables(self):
+        # The components differ at coordinate 0, so layer 1 holds several
+        # states, and all agree on each later coordinate's row.
+        rows = [(0.25, 0.75), (0.5, 0.5), (0.5, 0.5)]
+        p = mixture([0.5, 0.5], [[[0.9, 0.1], *rows], [[0.2, 0.8], *rows]])
+        q = mixture([0.3, 0.7], [[[0.6, 0.4], *rows], [[0.35, 0.65], *rows]])
+        dag = mx.build_dag(p, q)
+        layers = dag._layers
+        assert layers[1].size > 1
+        # Layers 1..3 hold the states layer 1 received, carried over.
+        assert layers[2].alpha is layers[1].alpha and layers[3].alpha is layers[1].alpha
+        assert layers[2].w1 is not layers[1].w1
+        assert layers[3].w1 is layers[2].w1
+        for j, row in enumerate(rows, start=1):
+            np.testing.assert_array_equal(layers[j].w1, np.tile(row, (layers[j].size, 1)))
+        assert_tables_fit_their_layer(p, q, dag)
+
+    def test_repeated_coordinate_after_type_two_edges_gets_its_own_tables(self):
+        p = mixture([0.5, 0.5], [[[0.9, 0.1]] * 2, [[0.2, 0.8]] * 2])
+        q = mixture([0.3, 0.7], [[[0.6, 0.4]] * 2, [[0.35, 0.65]] * 2])
+        dag = mx.build_dag(p, q)
+        assert dag._layers[1].size != dag._layers[0].size
+        assert dag._layers[1].w1 is not dag._layers[0].w1
+        assert_tables_fit_their_layer(p, q, dag)
+
+    def test_layers_with_type_two_edges_are_never_carried_over(self, random_dags):
+        windowed = [windowed_pair(seed, n=40) for seed in range(3)]
+        carried = mixed = 0
+        for p, q, dag in [*random_dags, *((p, q, mx.build_dag(p, q)) for p, q in windowed)]:
+            for lay, child in zip(dag._layers, dag._layers[1:]):
+                only_type_one = (lay.w1.sum(axis=1) > 0.0).all() and not (lay.w2 > 0.0).any()
+                assert (child.alpha is lay.alpha) == only_type_one
+                carried += bool(only_type_one)
+                mixed += bool((lay.w1.sum(axis=1) > 0.0).all() and (lay.w2 > 0.0).any())
+            assert_tables_fit_their_layer(p, q, dag)
+        assert carried and mixed
+
+    def test_layer_tables_are_read_only(self):
+        p, q = windowed_pair(0, n=30)
+        dag = mx.build_dag(p, q)
+        with pytest.raises(ValueError):
+            dag._layers[1].w1[0, 0] = 1.0
+        for lay in dag._layers:
+            for table in vars(lay).values():
+                assert table is None or not table.flags.writeable
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_DEEP_ESTIMATES))
+    def test_estimates_are_bit_identical_to_the_per_layer_build(self, name, seed):
+        assert estimate_hex(name, seed) == PINNED_DEEP_ESTIMATES[name, seed]
 
 
 class TestFailureProbability:
