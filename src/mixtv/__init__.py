@@ -33,8 +33,10 @@ from .errors import (
     NotAProbability,
     NotASubcube,
     NotThreeCnf,
+    NumericalError,
     ShapeMismatch,
     TooLarge,
+    ValidationError,
     WrongAlphabet,
     ZeroDenominator,
     ZeroDiscrepancy,
@@ -89,6 +91,7 @@ __all__ = [
     "NotAProbability",
     "NotASubcube",
     "NotThreeCnf",
+    "NumericalError",
     "ShapeMismatch",
     "State",
     "SubcubeProfile",
@@ -96,6 +99,7 @@ __all__ = [
     "Transition",
     "TransitionKind",
     "TvEstimate",
+    "ValidationError",
     "WrongAlphabet",
     "ZeroDenominator",
     "ZeroDiscrepancy",

@@ -2,8 +2,9 @@
 
 Pipelines consume stdout, which is deterministic for a fixed seed and
 input; the human-readable summary (including timings) goes to stderr.
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 size guard,
-5 numerical failure on valid input.
+Exit codes: 0 success, 2 usage error, and otherwise the class of the error
+(see mixtv.errors): 3 ValidationError or a named file that cannot be
+opened, decoded or parsed, 4 TooLarge, 5 NumericalError.
 """
 
 from __future__ import annotations
@@ -15,35 +16,10 @@ import sys
 from typing import Any, Callable, Sequence
 
 from . import coupling, estimator, model, oracle, subcube
-from .errors import (
-    FactViolation,
-    NoActiveComponent,
-    NormalizationError,
-    NotAProbability,
-    NotASubcube,
-    NotThreeCnf,
-    ShapeMismatch,
-    TooLarge,
-    WrongAlphabet,
-    ZeroDenominator,
-    ZeroDiscrepancy,
-)
+from .errors import NumericalError, ShapeMismatch, TooLarge, ValidationError
 
-_VALIDATION_ERRORS = (
-    ShapeMismatch,
-    NotAProbability,
-    NormalizationError,
-    NotASubcube,
-    WrongAlphabet,
-    NotThreeCnf,
-    NoActiveComponent,
-    ZeroDiscrepancy,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-_NUMERICAL_ERRORS = (ZeroDenominator, FactViolation)
+# A named file that cannot be opened, decoded or parsed is a validation error.
+_FILE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_MAX_CONFIGS = 2**24
@@ -69,7 +45,10 @@ def _digest(doc: Any) -> str:
 
 def _load_instance(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ShapeMismatch(f"{path}: instance JSON is nested too deeply") from None
     p, q = model.parse_instance(doc)
     return p, q, _digest(doc)
 
@@ -226,13 +205,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         digest, result, warnings, summary = _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
+    except (ValidationError, *_FILE_ERRORS) as exc:
         _emit_error("validation", str(exc))
         return 3
     except TooLarge as exc:
         _emit_error("size-guard", str(exc))
         return 4
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         _emit_error("numerical", str(exc))
         return 5
     report = {

@@ -94,7 +94,8 @@ def validate_mixture(raw: Mapping[str, Any] | tuple) -> Mixture:
     Raises
     ------
     ShapeMismatch
-        If the arrays do not form a consistent k x n x q block.
+        If the arrays do not form a consistent k x n x q block, or hold
+        an integer too large for a float.
     NotAProbability
         If an entry is below -1e-12 or above 1 + 1e-12, or non-finite.
     NormalizationError
@@ -114,7 +115,7 @@ def validate_mixture(raw: Mapping[str, Any] | tuple) -> Mixture:
     try:
         weights = np.asarray(weights_in, dtype=float)
         components = np.asarray(components_in, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"could not coerce mixture arrays: {exc}") from None
 
     if weights.ndim != 1 or components.ndim != 3:

@@ -362,8 +362,79 @@ class TestReports:
         cases = [b"5", b"\xff\xfe not utf-8"]
         for q in ("abc", None, 2.7):
             cases.append(json.dumps({**doc, "q": q}).encode())
+        # A JSON integer too large for a float.
+        cases.append(json.dumps({**doc, "p": {**doc["p"], "weights": [10**400]}}).encode())
         for raw in cases:
             path.write_bytes(raw)
             code, _, err = run_cli(capsys, ["exact-subcube", "--input", str(path)])
             assert code == 3, raw[:20]
             assert json.loads(err)["error"] == "validation"
+
+
+class TestErrorCategories:
+    """The class of an error alone decides the exit code and the stderr label."""
+
+    @staticmethod
+    def error_classes(cls=mx.MixtvError):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from TestErrorCategories.error_classes(sub)
+
+    def test_every_error_class_maps_to_one_exit_code(self, capsys, monkeypatch):
+        categories = {
+            mx.ValidationError: (3, "validation"),
+            mx.TooLarge: (4, "size-guard"),
+            mx.NumericalError: (5, "numerical"),
+        }
+        classes = set(self.error_classes())
+        assert set(categories) <= classes
+        path = str(Path(__file__).resolve().parents[1] / "instances/smoke-subcube-n4.json")
+        for cls in classes:
+            owners = [v for base, v in categories.items() if issubclass(cls, base)]
+            assert len(owners) == 1, cls.__name__
+            (code_expected, label), = owners
+
+            def fail(*args, cls=cls, **kwargs):
+                raise cls(f"raised {cls.__name__}")
+
+            monkeypatch.setattr("mixtv.subcube.exact_subcube_tv", fail)
+            code, out, err = run_cli(capsys, ["exact-subcube", "--input", path])
+            assert out == ""
+            assert (code, json.loads(err)) == (
+                code_expected,
+                {"error": label, "detail": f"raised {cls.__name__}"},
+            ), cls.__name__
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["approx", "--input", "{bad}", "--epsilon", "0.2"],
+            ["exact-subcube", "--input", "{bad}"],
+            ["brute", "--input", "{bad}"],
+            ["coupling-stats", "--input", "{bad}"],
+            ["coupling-stats", "--input", "{good}", "--dump", "{bad}"],
+            ["gen", "random", "--n", "2", "--q", "2", "--k1", "1", "--k2", "1",
+             "--seed", "0", "--output", "{bad}"],
+            ["gen", "from-cnf", "--dimacs", "{bad}"],
+        ],
+        ids=["approx", "exact-subcube", "brute", "coupling-stats", "dump", "gen-output", "dimacs"],
+    )
+    def test_unopenable_path_is_validation_error(self, capsys, small_instance, args):
+        # A path under a regular file raises NotADirectoryError.
+        paths = {"good": small_instance, "bad": f"{small_instance}/x"}
+        code, out, err = run_cli(capsys, [a.format(**paths) for a in args])
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "validation"
+        assert "Not a directory" in error["detail"]
+
+    def test_deeply_nested_json_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        code, out, err = run_cli(capsys, ["brute", "--input", str(path)])
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "validation"
+        assert str(path) in error["detail"]

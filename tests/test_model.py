@@ -61,6 +61,12 @@ class TestValidateMixture:
         with pytest.raises(mx.ShapeMismatch):
             mixture([1.0], [[[1.0]]])  # q = 1
 
+    def test_rejects_integers_too_large_for_a_float(self):
+        huge = 10**400
+        for weights, row in (([huge], [0.5, 0.5]), ([1.0], [huge, 0])):
+            with pytest.raises(mx.ShapeMismatch, match="could not coerce"):
+                mx.validate_mixture({"weights": weights, "components": [[row]]})
+
     def test_mapping_form(self):
         m = mx.validate_mixture({"weights": [1.0], "components": [[[0.5, 0.5]]]})
         assert m.n == 1
