@@ -94,8 +94,10 @@ def validate_mixture(raw: Mapping[str, Any] | tuple) -> Mixture:
     Raises
     ------
     ShapeMismatch
-        If the arrays do not form a consistent k x n x q block, or hold
-        an integer too large for a float.
+        If the arrays do not form a consistent k x n x q block, hold an
+        integer too large for a float, or hold strings or only booleans.
+        Numpy promotes booleans mixed with numbers, so ``[true, 0.5]`` reads
+        as ``[1.0, 0.5]``.
     NotAProbability
         If an entry is below -1e-12 or above 1 + 1e-12, or non-finite.
     NormalizationError
@@ -113,8 +115,15 @@ def validate_mixture(raw: Mapping[str, Any] | tuple) -> Mixture:
             raise ShapeMismatch("expected a mapping or a (weights, components) pair") from None
 
     try:
-        weights = np.asarray(weights_in, dtype=float)
-        components = np.asarray(components_in, dtype=float)
+        weights = np.asarray(weights_in)
+        components = np.asarray(components_in)
+        if weights.dtype.kind in "bSU" or components.dtype.kind in "bSU":
+            raise ShapeMismatch(
+                f"mixture entries must be numbers, got {weights.dtype} weights "
+                f"and {components.dtype} components"
+            )
+        weights = weights.astype(float, copy=False)
+        components = components.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"could not coerce mixture arrays: {exc}") from None
 
@@ -158,13 +167,14 @@ def config_count(m: Mixture, max_configs: int) -> int:
     """The number ``q^n`` of configurations of ``m``, guarded for enumeration.
 
     A limit below 1 is bad input (:class:`ShapeMismatch`); a count above it
-    is :class:`TooLarge`.
+    is :class:`TooLarge`, whose message names the count as ``q^n = 2^20000``:
+    Python refuses to convert an integer of more than 4300 digits to a string.
     """
     if max_configs < 1:
         raise ShapeMismatch(f"max_configs must be at least 1, got {max_configs}")
     total = m.q**m.n
     if total > max_configs:
-        raise TooLarge(f"q^n = {total} exceeds max_configs={max_configs}")
+        raise TooLarge(f"q^n = {m.q}^{m.n} exceeds max_configs={max_configs}")
     return total
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -129,11 +130,15 @@ class TestExactAndBrute:
         assert json.loads(err)["error"] == "size-guard"
 
     def test_brute_size_guard(self, capsys, tmp_path):
-        p, q = mx.random_instance(30, 2, 1, 1, seed=0)
-        path = write_instance(tmp_path / "big.json", p, q)
-        code, _, err = run_cli(capsys, ["brute", "--input", path])
-        assert code == 4
-        assert json.loads(err)["error"] == "size-guard"
+        for n in (30, 15_000):
+            p, q = mx.random_instance(n, 2, 1, 1, seed=0)
+            path = write_instance(tmp_path / "big.json", p, q)
+            code, _, err = run_cli(capsys, ["brute", "--input", path])
+            assert code == 4, n
+            assert json.loads(err) == {
+                "error": "size-guard",
+                "detail": f"q^n = 2^{n} exceeds max_configs={cli.DEFAULT_MAX_CONFIGS}",
+            }
 
     def test_non_positive_max_configs_is_validation_error(self, capsys, small_instance):
         for limit in ("0", "-1"):
@@ -364,11 +369,38 @@ class TestReports:
             cases.append(json.dumps({**doc, "q": q}).encode())
         # A JSON integer too large for a float.
         cases.append(json.dumps({**doc, "p": {**doc["p"], "weights": [10**400]}}).encode())
+        # Strings and booleans are not numbers.
+        for weights, row in ((["1"], [0.5, 0.5]), ([1.0], [" 0.5 ", 0.5]), ([1.0], [True, False])):
+            mix = {"weights": weights, "components": [[row, row]]}
+            cases.append(json.dumps({**doc, "q_dist": mix}).encode())
         for raw in cases:
             path.write_bytes(raw)
             code, _, err = run_cli(capsys, ["exact-subcube", "--input", str(path)])
             assert code == 3, raw[:20]
             assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_state_is_restored(self, capsys, tmp_path, small_instance, enabled):
+        # The instance is read with the cyclic collector paused; every exit
+        # path must leave it as it found it.
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps({"q": 2, "n": 1, "p": {}}))
+        cases = [
+            (small_instance, 0),
+            (str(broken), 3),
+            (str(invalid), 3),
+            (str(tmp_path / "missing.json"), 3),
+        ]
+        was_enabled = gc.isenabled()
+        try:
+            for path, code_expected in cases:
+                (gc.enable if enabled else gc.disable)()
+                code, _, _ = run_cli(capsys, ["brute", "--input", path])
+                assert (code, gc.isenabled()) == (code_expected, enabled), path
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestErrorCategories:

@@ -67,6 +67,21 @@ class TestValidateMixture:
             with pytest.raises(mx.ShapeMismatch, match="could not coerce"):
                 mx.validate_mixture({"weights": weights, "components": [[row]]})
 
+    def test_rejects_strings_and_booleans(self):
+        row = [0.5, 0.5]
+        for weights, rows in (
+            (["1"], [row]),
+            ([1.0], [[" 1 ", 0]]),
+            ([1.0], [["0.5", "0.5"]]),
+            ([True], [row]),
+            ([1.0], [[True, False]]),
+        ):
+            with pytest.raises(mx.ShapeMismatch, match="must be numbers"):
+                mx.validate_mixture({"weights": weights, "components": [rows]})
+        # Booleans mixed with numbers are promoted by numpy.
+        m = mx.validate_mixture({"weights": [1.0], "components": [[[True, 0.0]]]})
+        assert m.components.tolist() == [[[1.0, 0.0]]]
+
     def test_mapping_form(self):
         m = mx.validate_mixture({"weights": [1.0], "components": [[[0.5, 0.5]]]})
         assert m.n == 1

@@ -17,9 +17,13 @@ class TestBruteForceTv:
         assert mx.brute_force_tv(uniform2, point00) == pytest.approx(0.75, abs=1e-15)
 
     def test_size_guard(self):
-        p, q = mx.random_instance(30, 2, 1, 1, seed=0)
-        with pytest.raises(mx.TooLarge):
-            mx.brute_force_tv(p, q)
+        # 2^15000 has more digits than Python writes out as a string.
+        for n in (30, 15_000):
+            p, q = mx.random_instance(n, 2, 1, 1, seed=0)
+            with pytest.raises(mx.TooLarge, match=rf"q\^n = 2\^{n} exceeds"):
+                mx.brute_force_tv(p, q)
+            with pytest.raises(mx.TooLarge, match=rf"q\^n = 2\^{n} exceeds"):
+                mx.mass_table(p)
 
     def test_non_positive_limit_is_a_shape_error(self, uniform2, point00):
         for limit in (0, -1):
