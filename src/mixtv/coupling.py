@@ -19,18 +19,20 @@ layers, one backward pass fills each state's failure probability and the
 cumulative edge weights of the failure-conditioned walk, so the discrepancy
 is a table read.  The forward pass does full work only at layers where the
 states change: a layer whose states take only Type-I edges passes them on
-as they are, and a run of such layers at coordinates with byte-equal
-marginals shares one set of transition tables.  Both block queries advance
-one layer at a time: the sampling query walks a block of failure-conditioned
-draws down the DAG together, and the evaluation query is one forward pass
-per block of configurations over the states whose paths agree with them.  A
-direct trajectory simulator (:func:`simulate_coupling`) provides an
-independent path for statistical cross-validation of the DAG.
+as they are, and at a coordinate whose marginals repeat the previous one's
+such a layer is a copy of its parent's record, tables included.  Layers
+store no path keys; the diagnostic views derive them from the child tables.
+Both block queries advance one layer at a time: the sampling query walks a
+block of failure-conditioned draws down the DAG together, and the evaluation
+query is one forward pass per block of configurations over the states whose
+paths agree with them.  A direct trajectory simulator
+(:func:`simulate_coupling`) provides an independent path for statistical
+cross-validation of the DAG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
 from typing import Iterator, Sequence
@@ -93,17 +95,14 @@ class _Layer:
     """Per-layer tables, all filled by :func:`build_dag`; row ``m`` is the ``m``-th state.
 
     Layers may share arrays: a layer reached only by Type-I edges holds its
-    parent layer's ``alpha`` and ``beta``, and a run of such layers at
-    coordinates with byte-equal marginals shares the forward tables
-    (``w1`` through ``upd_alpha``).  ``walk`` and ``pfail`` are each layer's
-    own.  Every array is read-only, so no write can reach several layers.
+    parent layer's ``alpha`` and ``beta``, and at a repeated coordinate it is
+    a copy of its parent's record, forward tables (``w1`` through
+    ``upd_alpha``) included.  ``walk`` and ``pfail`` are each layer's own.
+    Every array is read-only, so no write can reach several layers.
     """
 
     alpha: np.ndarray  # (M, k1) current P-side weights
     beta: np.ndarray  # (M, k2)
-    # parent and symbol describe the last edge of the state's first-created path
-    parent: np.ndarray  # (M,) row in the previous layer; -1 for the root
-    symbol: np.ndarray  # (M,) path-key symbol appended by the edge from the parent
     # Transition tables, absent on the terminal layer:
     w1: np.ndarray | None = None  # (M, q) Type-I weight per value
     w2: np.ndarray | None = None  # (M, q) Type-II weight per value
@@ -119,12 +118,6 @@ class _Layer:
     @property
     def size(self) -> int:
         return int(self.alpha.shape[0])
-
-
-# The tables a layer's forward step computes from its states and its
-# coordinate's marginals; a carried-over layer at a repeated coordinate shares
-# them with the layer before.
-_FORWARD_TABLES = ("w1", "w2", "res_p", "res_q", "res_total", "child1", "child2", "upd_alpha")
 
 
 def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -198,16 +191,23 @@ class CouplingDag:
     # -- state / transition views ----------------------------------------
 
     def _path_keys(self) -> list[list[tuple[int, ...]]]:
+        """Each state's first-created path key, derived from the child tables.
+
+        A state's last edge is its first occurrence among the layer's edge
+        targets in creation order (Type-I by parent, then Type-II by
+        (parent, value)), since the merge keeps each state's lowest-index row.
+        """
         if self._keys is None:
             keys: list[list[tuple[int, ...]]] = [[()]]
-            for lay in self._layers[1:]:
+            for lay in self._layers[:-1]:
+                par1 = np.flatnonzero(lay.child1 >= 0)
+                par2, c2 = np.nonzero(lay.child2 >= 0)
+                targets = np.concatenate([lay.child1[par1], lay.child2[par2, c2]])
+                parents = np.concatenate([par1, par2]).tolist()
+                symbols = [0] * par1.size + (c2 + 1).tolist()
+                _, first = np.unique(targets, return_index=True)
                 prev = keys[-1]
-                keys.append(
-                    [
-                        prev[int(par)] + (int(sym),)
-                        for par, sym in zip(lay.parent, lay.symbol)
-                    ]
-                )
+                keys.append([prev[parents[e]] + (symbols[e],) for e in first.tolist()])
             self._keys = keys
         return self._keys
 
@@ -364,20 +364,21 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     proportional residual rule ``w(c, c') = res_p(c) * res_q(c') / R``.
     Zero-weight edges are never materialized; all Type-I edges of a state
     share one child.  The children of a layer whose ``[alpha | beta]`` rows
-    are byte-equal are merged into the first-created one, which keeps its
-    ``parent`` and ``symbol``.  Byte-equal rows get byte-equal tables, so the
-    merge changes no edge weight, failure probability or sampled value.
+    are byte-equal are merged into the first-created one.  Byte-equal rows
+    get byte-equal tables, so the merge changes no edge weight, failure
+    probability or sampled value.
     Weights are stored with canonical zeros (never ``-0.0``), so equal
     reweightings are byte-equal.
 
     A layer whose every state has a Type-I edge and none has a Type-II edge
     keeps every reweighting, so the next layer reuses its ``alpha`` and
-    ``beta`` arrays with ``child1 = parent = arange(M)``; its rows are
-    already pairwise distinct, so the merge is skipped.  When the next
-    coordinate's marginals are byte-equal to this one's in every component,
-    the next layer's forward tables are the same function of the same
-    inputs, so it shares them and carries its states over again.  Either
-    way the tables hold exactly the bytes a full step would compute.
+    ``beta`` arrays with ``child1 = arange(M)``; its rows are already
+    pairwise distinct, so the merge is skipped.  When the next coordinate's
+    marginals are byte-equal to this one's in every component, the next
+    layer's forward tables are the same function of the same inputs, so a
+    carried layer at a repeated coordinate is a copy of its parent's record
+    and carries its states over again.  Either way the tables hold exactly
+    the bytes a full step would compute.
 
     After the last layer, one backward pass fills each state's failure
     probability ``pfail`` and the cumulative weights ``walk`` of the
@@ -397,34 +398,27 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     root = _Layer(
         alpha=p.weights[None, :] + 0.0,  # + 0.0 turns a -0.0 weight into +0.0
         beta=q.weights[None, :] + 0.0,
-        parent=np.array([-1], dtype=np.int64),
-        symbol=np.array([-1], dtype=np.int16),
     )
     if not root.alpha.any() or not root.beta.any():
         raise NoActiveComponent("a mixture has no active component")
     layers = [root]
     count = 1
     # repeat[j]: coordinate j's marginals are byte-equal to coordinate j - 1's
-    # in every component of both mixtures.
+    # in every component of both mixtures; the terminal layer has no coordinate.
     bits_p, bits_q = p.components.view(np.uint64), q.components.view(np.uint64)
     repeat = [False] + (
         (bits_p[:, 1:] == bits_p[:, :-1]).all(axis=(0, 2))
         & (bits_q[:, 1:] == bits_q[:, :-1]).all(axis=(0, 2))
-    ).tolist()
+    ).tolist() + [False]
 
     for depth in range(n):
         lay = layers[depth]
         m_here = lay.size
         a, b = lay.alpha, lay.beta
-        if repeat[depth] and a is layers[depth - 1].alpha:
-            # The previous layer carried these states over and its coordinate
-            # has the same marginals, so its tables are this layer's, and
-            # this layer carries them over too.
-            prev = layers[depth - 1]
-            for name in _FORWARD_TABLES:
-                setattr(lay, name, getattr(prev, name))
-            carry = True
-        else:
+        # A layer that inherited its tables is a carried layer at a repeated
+        # coordinate: its states pass on again.
+        carry = lay.w1 is not None
+        if not carry:
             pj = p.components[:, depth, :]  # (k1, q)
             qj = q.components[:, depth, :]  # (k2, q)
             pbar = a @ pj  # (M, q)
@@ -473,18 +467,9 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
                 lay.child1 = np.full(m_here, -1, dtype=np.int64)
                 lay.child1[has1] = index[:n1]
                 lay.child2[par2, c2] = index[n1:]
-                child = _Layer(
-                    alpha=alpha[keep],
-                    beta=beta[keep],
-                    parent=np.concatenate([np.flatnonzero(has1), par2])[keep],
-                    symbol=np.concatenate(
-                        [np.zeros(n1, dtype=np.int16), (c2 + 1).astype(np.int16)]
-                    )[keep],
-                )
+                child = _Layer(alpha=alpha[keep], beta=beta[keep])
         if carry:
-            child = _Layer(
-                alpha=a, beta=b, parent=lay.child1, symbol=np.zeros(m_here, dtype=np.int16)
-            )
+            child = replace(lay) if repeat[depth + 1] else _Layer(alpha=a, beta=b)
 
         count += child.size
         if max_states is not None and count > max_states:

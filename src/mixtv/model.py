@@ -95,9 +95,9 @@ def validate_mixture(raw: Mapping[str, Any] | tuple) -> Mixture:
     ------
     ShapeMismatch
         If the arrays do not form a consistent k x n x q block, hold an
-        integer too large for a float, or hold strings or only booleans.
-        Numpy promotes booleans mixed with numbers, so ``[true, 0.5]`` reads
-        as ``[1.0, 0.5]``.
+        integer too large for a float, or hold strings, nulls or only
+        booleans.  Numpy promotes booleans mixed with numbers, so
+        ``[true, 0.5]`` reads as ``[1.0, 0.5]``.
     NotAProbability
         If an entry is below -1e-12 or above 1 + 1e-12, or non-finite.
     NormalizationError
@@ -122,6 +122,10 @@ def validate_mixture(raw: Mapping[str, Any] | tuple) -> Mixture:
                 f"mixture entries must be numbers, got {weights.dtype} weights "
                 f"and {components.dtype} components"
             )
+        # numpy reads None (JSON null) in an object array as NaN.
+        for arr in (weights, components):
+            if arr.dtype == object and any(x is None for x in arr.flat):
+                raise ShapeMismatch("mixture entries must be numbers, got null")
         weights = weights.astype(float, copy=False)
         components = components.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:

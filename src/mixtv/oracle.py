@@ -22,6 +22,10 @@ from .errors import (
 from .model import Mixture, check_same_domain, config_count, validate_mixture
 
 _CHUNK = 1 << 16
+# Enumeration guards: brute_force_chi_counts walks 2^n points and
+# count_satisfying 2^r assignments.
+CHI_COUNTS_MAX_N = 24
+SAT_MAX_R = 24
 
 
 def _config_block(start: int, stop: int, n: int, q: int) -> np.ndarray:
@@ -67,7 +71,7 @@ def brute_force_tv(p: Mixture, q: Mixture, max_configs: int = 2**24) -> float:
     return acc
 
 
-def brute_force_chi_counts(p: Mixture, q: Mixture, max_n: int = 24) -> dict[tuple[int, ...], int]:
+def brute_force_chi_counts(p: Mixture, q: Mixture) -> dict[tuple[int, ...], int]:
     """Feasibility-vector counts by direct enumeration of all points.
 
     Re-derives feasibility from the raw marginals (a point is feasible for
@@ -87,8 +91,8 @@ def brute_force_chi_counts(p: Mixture, q: Mixture, max_n: int = 24) -> dict[tupl
         if not near.all():
             raise NotASubcube("a marginal is not 0, 1/2, or 1")
     n = p.n
-    if n > max_n:
-        raise TooLarge(f"n = {n} exceeds the enumeration guard {max_n}")
+    if n > CHI_COUNTS_MAX_N:
+        raise TooLarge(f"n = {n} exceeds the enumeration guard {CHI_COUNTS_MAX_N}")
     k_total = p.k + q.k
     counts = np.zeros(1 << k_total, dtype=np.int64)
     for start in range(0, 1 << n, _CHUNK):
@@ -185,10 +189,10 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(r=r, clauses=tuple(clauses))
 
 
-def count_satisfying(formula: CnfFormula, max_r: int = 24) -> int:
+def count_satisfying(formula: CnfFormula) -> int:
     """Satisfying assignments over the ``r`` declared variables, by enumeration."""
-    if formula.r > max_r:
-        raise TooLarge(f"r = {formula.r} exceeds the #SAT enumeration guard {max_r}")
+    if formula.r > SAT_MAX_R:
+        raise TooLarge(f"r = {formula.r} exceeds the #SAT enumeration guard {SAT_MAX_R}")
     total = 0
     for start in range(0, 1 << formula.r, _CHUNK):
         stop = min(start + _CHUNK, 1 << formula.r)

@@ -373,11 +373,18 @@ class TestReports:
         for weights, row in ((["1"], [0.5, 0.5]), ([1.0], [" 0.5 ", 0.5]), ([1.0], [True, False])):
             mix = {"weights": weights, "components": [[row, row]]}
             cases.append(json.dumps({**doc, "q_dist": mix}).encode())
-        for raw in cases:
+        # A null is a non-number too, not a non-finite probability.
+        nulls = []
+        for weights, row in (([None], [0.5, 0.5]), ([1.0], [None, 0.5])):
+            mix = {"weights": weights, "components": [[row, row]]}
+            nulls.append(json.dumps({**doc, "p": mix}).encode())
+        for raw in cases + nulls:
             path.write_bytes(raw)
             code, _, err = run_cli(capsys, ["exact-subcube", "--input", str(path)])
             assert code == 3, raw[:20]
             assert json.loads(err)["error"] == "validation"
+            if raw in nulls:
+                assert "must be numbers, got null" in json.loads(err)["detail"]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_collector_state_is_restored(self, capsys, tmp_path, small_instance, enabled):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter, defaultdict
 from itertools import product
@@ -888,7 +889,34 @@ class TestSimulateCoupling:
         assert tv_y <= 0.02
 
 
+# sha256 of the --dump bytes, json.dumps(to_dict(), sort_keys=True, indent=2),
+# recorded while each layer still stored its states' parent rows and symbols.
+PINNED_DUMPS = {
+    "smoke-general-n2q2.json": "8222862fab40ac4a37e2acdef1c19a9face6fec8ee613b107bf66338538ff440",
+    "smoke-general-n3q3.json": "d4179d94d4586d11a2579a00218fba5c7f644f6de8e7d45a8c052e4720a0439c",
+    "smoke-subcube-n4.json": "d8b729fa48246515ae4a3a7eadf42dbab5ed255a9a978710735291a81011e75e",
+    "smoke-subcube-deep-n120.json": "ffbc237514d27d1445f66930884d2c0dfe95a4ade024aa1b624dcab1f57b1c03",
+}
+
+
 class TestDump:
+    @pytest.mark.parametrize("name", sorted(PINNED_DUMPS))
+    def test_dump_bytes_are_pinned(self, name):
+        p, q = mx.parse_instance(json.loads((INSTANCES / name).read_text()))
+        text = json.dumps(mx.build_dag(p, q).to_dict(), sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DUMPS[name]
+
+    def test_path_keys_name_values_past_int16(self):
+        # A Type-II step at value c appends symbol c + 1, for every q.
+        qq = 40_000
+        p, q = mx.random_instance(1, qq, 2, 2, seed=0)
+        dag = mx.build_dag(p, q)
+        keys = [s.path_key for s in dag.iter_states() if s.layer == 2]
+        assert len(keys) == dag.layer_sizes[1] == len(set(keys))
+        assert max(key[0] for key in keys) > 2**15  # past the int16 range
+        for key in keys:
+            assert key == (0,) or (len(key) == 1 and 1 <= key[0] <= qq), key
+
     def test_dump_round_trips_counts(self, two_component_pair):
         p, q = two_component_pair
         dag = mx.build_dag(p, q)

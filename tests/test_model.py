@@ -66,6 +66,9 @@ class TestValidateMixture:
         for weights, row in (([huge], [0.5, 0.5]), ([1.0], [huge, 0])):
             with pytest.raises(mx.ShapeMismatch, match="could not coerce"):
                 mx.validate_mixture({"weights": weights, "components": [[row]]})
+        # An integer that fits a float is a number, so it is range-checked.
+        with pytest.raises(mx.NotAProbability, match="outside"):
+            mx.validate_mixture({"weights": [10**30], "components": [[[0.5, 0.5]]]})
 
     def test_rejects_strings_and_booleans(self):
         row = [0.5, 0.5]
@@ -75,6 +78,10 @@ class TestValidateMixture:
             ([1.0], [["0.5", "0.5"]]),
             ([True], [row]),
             ([1.0], [[True, False]]),
+            # numpy reads a JSON null as NaN, but it is not a number either.
+            ([None], [row]),
+            ([1.0], [[None, 0.5]]),
+            ([1.0], [[1, None]]),
         ):
             with pytest.raises(mx.ShapeMismatch, match="must be numbers"):
                 mx.validate_mixture({"weights": weights, "components": [rows]})
