@@ -98,7 +98,9 @@ class _Layer:
     parent layer's ``alpha`` and ``beta``, and at a repeated coordinate it is
     a copy of its parent's record, forward tables (``w1`` through
     ``upd_alpha``) included.  ``walk`` and ``pfail`` are each layer's own.
-    Every array is read-only, so no write can reach several layers.
+    Every array is read-only, so no write can reach several layers.  A
+    state's total Type-III mass is ``res_p.sum(axis=1)``, summed where read.
+    A layer that every path fails before holds no state (``M = 0``).
     """
 
     alpha: np.ndarray  # (M, k1) current P-side weights
@@ -108,7 +110,6 @@ class _Layer:
     w2: np.ndarray | None = None  # (M, q) Type-II weight per value
     res_p: np.ndarray | None = None  # (M, q) unmatched P-side mass per value
     res_q: np.ndarray | None = None  # (M, q)
-    res_total: np.ndarray | None = None  # (M,) total Type-III mass
     child1: np.ndarray | None = None  # (M,) row of the shared Type-I child, -1 if none
     child2: np.ndarray | None = None  # (M, q) row of the Type-II child per value
     upd_alpha: np.ndarray | None = None  # (M, k1, q) reweighted P-side per value
@@ -121,26 +122,21 @@ class _Layer:
 
 
 def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values[idx] with idx == -1 (and empty ``values``) mapping to 0."""
-    if values.shape[0] == 0:
-        return np.zeros(idx.shape)
-    picked = values[np.maximum(idx, 0)]
-    return np.where(idx >= 0, picked, 0.0)
+    """values[idx] with idx == -1 mapping to 0: -1 reads an appended zero."""
+    return np.append(values, 0.0)[idx]
 
 
 class CouplingDag:
     """Explicit state graph of the recursive coupling of two mixtures.
 
-    Built whole by :func:`build_dag` and read-only afterwards (only the
-    path-key views are computed on first use); all queries may run
-    concurrently.
+    Built whole by :func:`build_dag` and read-only afterwards; all queries
+    may run concurrently.
     """
 
     def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer]):
         self.mix_p = mix_p
         self.mix_q = mix_q
         self._layers = layers
-        self._keys: list[list[tuple[int, ...]]] | None = None
 
     # -- basic shape ------------------------------------------------------
 
@@ -167,9 +163,7 @@ class CouplingDag:
 
     @property
     def failure_reachable(self) -> bool:
-        return any(
-            lay.res_total is not None and lay.res_total.sum() > 0.0 for lay in self._layers
-        )
+        return any((lay.res_p > 0.0).any() for lay in self._layers[:-1])
 
     @property
     def num_states(self) -> int:
@@ -197,19 +191,17 @@ class CouplingDag:
         targets in creation order (Type-I by parent, then Type-II by
         (parent, value)), since the merge keeps each state's lowest-index row.
         """
-        if self._keys is None:
-            keys: list[list[tuple[int, ...]]] = [[()]]
-            for lay in self._layers[:-1]:
-                par1 = np.flatnonzero(lay.child1 >= 0)
-                par2, c2 = np.nonzero(lay.child2 >= 0)
-                targets = np.concatenate([lay.child1[par1], lay.child2[par2, c2]])
-                parents = np.concatenate([par1, par2]).tolist()
-                symbols = [0] * par1.size + (c2 + 1).tolist()
-                _, first = np.unique(targets, return_index=True)
-                prev = keys[-1]
-                keys.append([prev[parents[e]] + (symbols[e],) for e in first.tolist()])
-            self._keys = keys
-        return self._keys
+        keys: list[list[tuple[int, ...]]] = [[()]]
+        for lay in self._layers[:-1]:
+            par1 = np.flatnonzero(lay.child1 >= 0)
+            par2, c2 = np.nonzero(lay.child2 >= 0)
+            targets = np.concatenate([lay.child1[par1], lay.child2[par2, c2]])
+            parents = np.concatenate([par1, par2]).tolist()
+            symbols = [0] * par1.size + (c2 + 1).tolist()
+            _, first = np.unique(targets, return_index=True)
+            prev = keys[-1]
+            keys.append([prev[parents[e]] + (symbols[e],) for e in first.tolist()])
+        return keys
 
     def iter_states(self) -> Iterator[State]:
         """All non-failure states in (layer, creation index) order."""
@@ -222,6 +214,7 @@ class CouplingDag:
         keys = self._path_keys()
         for depth, lay in enumerate(self._layers[:-1]):
             nxt = keys[depth + 1]
+            totals = lay.res_p.sum(axis=1)
             for m in range(lay.size):
                 src = keys[depth][m]
                 for c in range(self.q):
@@ -232,7 +225,7 @@ class CouplingDag:
                     w = float(lay.w2[m, c])
                     if w > 0.0:
                         yield Transition(src, TransitionKind.TYPE_II, c, w, nxt[int(lay.child2[m, c])])
-                total = float(lay.res_total[m])
+                total = float(totals[m])
                 if total > 0.0:
                     for c in range(self.q):
                         rp = float(lay.res_p[m, c])
@@ -248,11 +241,11 @@ class CouplingDag:
 
     def pfail_map(self) -> dict[tuple[int, ...], float]:
         """Failure probability per state, keyed by path key (sink excluded)."""
-        out: dict[tuple[int, ...], float] = {}
-        for lay, keys in zip(self._layers, self._path_keys()):
-            for m in range(lay.size):
-                out[keys[m]] = float(lay.pfail[m])
-        return out
+        return {
+            key: pf
+            for lay, keys in zip(self._layers, self._path_keys())
+            for key, pf in zip(keys, lay.pfail.tolist())
+        }
 
     def statistics(self) -> dict:
         """Summary used by the CLI: counts, per-layer histogram, discrepancy."""
@@ -318,14 +311,12 @@ def _merge_equal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     collision costs one state, never a wrong merge.
     """
     m = rows.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     bits = rows.view(np.uint64)
     h = _row_hash(bits)
     order = np.argsort(h)
     hs = h[order]
     new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
+    new_group[:1] = True
     np.not_equal(hs[1:], hs[:-1], out=new_group[1:])
     first = np.minimum.reduceat(order, np.flatnonzero(new_group))
     rep = np.empty(m, dtype=np.int64)
@@ -443,7 +434,6 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
             lay.w2 = np.where(t2, w2_raw, 0.0)
             lay.res_p = np.maximum(pbar - qbar, 0.0)
             lay.res_q = np.maximum(qbar - pbar, 0.0)
-            lay.res_total = lay.res_p.sum(axis=1)
 
             lay.upd_alpha = _reweighted(a, pj, ell, pbar, deg_p)
             upd_beta = _reweighted(b, qj, ell, qbar, deg_q)
@@ -483,7 +473,7 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         lay, nxt = layers[depth], layers[depth + 1].pfail
         pf1 = _gather(nxt, lay.child1)
         pf2 = lay.w2 * _gather(nxt, lay.child2)
-        lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_total
+        lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_p.sum(axis=1)
         slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
         lay.walk = np.cumsum(slots, axis=1)
     for lay in layers:
@@ -719,7 +709,7 @@ def simulate_coupling(
         ]
         res_p = [max(pbar[c] - qbar[c], 0.0) for c in range(qq)]
         res_q = [max(qbar[c] - pbar[c], 0.0) for c in range(qq)]
-        res_total = sum(res_p)
+        res_sum = sum(res_p)
 
         outcomes: list[tuple[str, int, int, float]] = []
         for c in range(qq):
@@ -737,7 +727,7 @@ def simulate_coupling(
                 continue
             for cc in range(qq):
                 if res_q[cc] > 0.0:
-                    outcomes.append(("III", c, cc, res_p[c] * res_q[cc] / res_total))
+                    outcomes.append(("III", c, cc, res_p[c] * res_q[cc] / res_sum))
 
         u = rng.random()  # outcome weights sum to 1 up to rounding
         acc = 0.0

@@ -148,11 +148,17 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse a DIMACS CNF document (``p cnf r m`` header, 0-terminated clauses)."""
+    """Parse a DIMACS CNF document (``p cnf r m`` header, 0-terminated clauses).
+
+    A line starting with ``%`` ends the clause list, as in SATLIB's uniform
+    random 3-SAT files, which close with a ``%`` line and a lone ``0``.
+    """
     tokens: list[str] = []
     header: tuple[int, int] | None = None
     for line in text.splitlines():
         line = line.strip()
+        if line.startswith("%"):
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):

@@ -241,6 +241,13 @@ class TestGen:
         assert len(instance["p"]["weights"]) == 1
         assert len(instance["q_dist"]["weights"]) == 2
 
+    def test_from_cnf_reads_satlib_files(self, capsys, tmp_path):
+        cnf = tmp_path / "uf3-01.cnf"
+        cnf.write_text("c SATLIB style\np cnf 3  2 \n 1 2 3 0\n-1 -2 -3 0\n%\n0\n\n")
+        code, out, _ = run_cli(capsys, ["gen", "from-cnf", "--dimacs", str(cnf)])
+        assert code == 0
+        assert json.loads(out)["result"]["instance"]["n"] == 4
+
     def test_from_cnf_bad_formula(self, capsys, tmp_path):
         cnf = tmp_path / "bad.cnf"
         cnf.write_text("p cnf 3 1\n1 2 0\n")

@@ -327,6 +327,32 @@ class TestBuildDag:
             atol=1e-12,
         )
 
+    def test_layers_after_certain_failure_are_empty(self):
+        # Every path fails at the first coordinate, so layers 2..4 hold no state.
+        p, q = point_mass((0, 0, 0)), point_mass((1, 1, 1))
+        dag = mx.build_dag(p, q)
+        assert dag.layer_sizes == [1, 0, 0, 0]
+        assert dag.num_states == 2
+        assert dag.num_transitions == 1
+        assert mx.failure_probability(dag) == mx.brute_force_tv(p, q) == 1.0
+        assert mx.failure_mass_table(dag).tolist() == [1.0] + [0.0] * 7
+        draws = mx.sample_failed_trajectories(dag, np.random.default_rng(0), 16)
+        assert draws.tolist() == [[0, 0, 0]] * 16
+        est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, samples_override=10))
+        assert est.estimate == 1.0
+        assert len(dag.to_dict()["states"]) == 1
+
+    def test_views_never_change_the_dag(self, two_component_pair):
+        p, q = two_component_pair
+        dag = mx.build_dag(p, q)
+        before = {name: id(value) for name, value in vars(dag).items()}
+        list(dag.iter_states())
+        list(dag.iter_transitions())
+        dag.pfail_map()
+        dag.to_dict()
+        dag.statistics()
+        assert {name: id(value) for name, value in vars(dag).items()} == before
+
     def test_path_keys_unique_and_bounded(self):
         p, q = mx.random_instance(4, 3, 3, 2, seed=11)
         dag = mx.build_dag(p, q)

@@ -110,6 +110,13 @@ class TestCnf:
         assert f.r == 4
         assert f.clauses == ((1, -2, 3), (-1, 2, 4))
 
+    def test_parse_dimacs_stops_at_satlib_end_marker(self):
+        # SATLIB's uniform random 3-SAT files end with a "%" line and a lone "0".
+        text = "c uf\np cnf 4  2 \n 1 -2 3 0\n-1 2 4 0\n%\n0\n\n"
+        assert mx.parse_dimacs(text).clauses == ((1, -2, 3), (-1, 2, 4))
+        with pytest.raises(mx.NotThreeCnf, match="declares 3 clauses, found 2"):
+            mx.parse_dimacs(text.replace("4  2", "4  3"))
+
     def test_parse_dimacs_errors(self):
         with pytest.raises(mx.NotThreeCnf):
             mx.parse_dimacs("1 2 3 0\n")  # no header
