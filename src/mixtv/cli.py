@@ -14,13 +14,18 @@ import gc
 import hashlib
 import json
 import sys
-from typing import Any, Callable, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from . import coupling, estimator, model, oracle, subcube
 from .errors import NumericalError, ShapeMismatch, TooLarge, ValidationError
 
 # A named file that cannot be opened, decoded or parsed is a validation error.
 _FILE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)
+# The keys of the instance layout whose objects hold a mixture's arrays.
+_MIXTURES = ("p", "q_dist")
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_MAX_CONFIGS = 2**24
@@ -35,17 +40,101 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _canonical(doc: Any) -> str:
+def _canonical(obj: Any) -> str:
     # Documents come from json.load or instance_document and cannot hold cycles.
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _digest(doc: Any) -> str:
-    return hashlib.sha256(_canonical(doc).encode()).hexdigest()
+def _float_block(value: Any) -> np.ndarray | None:
+    """``value`` as a float64 array if it is a rectangular (k, n, q) list of floats.
+
+    Returns None for anything else: a ragged or empty block, or one with a
+    leaf whose type is not exactly ``float``. Such a block is encoded whole,
+    as a JSON ``1`` is not ``1.0``. Each check is one pass in C: the leaf
+    types are checked over the whole block at once, not row by row.
+    """
+    if type(value) is not list or set(map(type, value)) != {list}:
+        return None
+    if set(map(len, value)) != {len(value[0])}:
+        return None
+    rows = list(chain.from_iterable(value))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])}:
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {float}:
+        return None
+    k, n, q = len(value), len(value[0]), len(rows[0])
+    return np.fromiter(chain.from_iterable(rows), float, count=k * n * q).reshape(k, n, q)
+
+
+def _block_pieces(block: np.ndarray, value: list) -> Iterator[str]:
+    """The canonical encoding of float block ``value``, in one piece per component.
+
+    ``block`` is ``value`` as :func:`_float_block` returns it. Each distinct
+    row is encoded once, from its first float objects in ``value``. Rows
+    are told apart by their bytes, so ``-0.0`` and ``0.0`` stay apart as
+    they do in the encoding. The distinct rows are encoded in one call and
+    split at ``],[``, which no float's text holds. A block whose rows are
+    mostly distinct is encoded whole.
+    """
+    k, n, q = block.shape
+    keys = block.reshape(k * n, q).view(np.dtype((np.void, 8 * q)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if 2 * len(first) > k * n:  # mostly distinct rows: nothing to share
+        yield _canonical(value)
+        return
+    rows = list(chain.from_iterable(value))
+    texts = _canonical([rows[i] for i in first.tolist()])[2:-2].split("],[")
+    row_texts = np.array(texts, dtype=object)[inverse].reshape(k, n)
+    for s in range(k):
+        yield ("[[[" if s == 0 else ",[[") + "],[".join(row_texts[s].tolist()) + "]]"
+    yield "]"
+
+
+def _digest(doc: Any) -> tuple[str, Any]:
+    """SHA-256 of ``_canonical(doc)``, and ``doc`` with its float blocks as arrays.
+
+    The hash is fed piece by piece. The instance layout is walked with
+    sorted keys: the top-level object, then the mixture objects ``p`` and
+    ``q_dist``. Each of their values that :func:`_float_block` reads is
+    encoded by :func:`_block_pieces`; every other value is encoded whole. The
+    returned document is ``doc`` with each such value replaced by its
+    array, in copies of the objects walked, so ``doc`` is left as it is.
+    """
+    sha = hashlib.sha256()
+    if type(doc) is not dict:
+        sha.update(_canonical(doc).encode())
+        return sha.hexdigest(), doc
+    out = {}
+    sha.update(b"{")
+    for i, key in enumerate(sorted(doc)):
+        value = doc[key]
+        sha.update(f"{',' if i else ''}{_canonical(key)}:".encode())
+        if key in _MIXTURES and type(value) is dict:
+            value = dict(value)
+            sha.update(b"{")
+            for j, sub in enumerate(sorted(value)):
+                sha.update(f"{',' if j else ''}{_canonical(sub)}:".encode())
+                block = _float_block(value[sub])
+                if block is None:
+                    sha.update(_canonical(value[sub]).encode())
+                    continue
+                for piece in _block_pieces(block, value[sub]):
+                    sha.update(piece.encode())
+                value[sub] = block
+            sha.update(b"}")
+        else:
+            sha.update(_canonical(value).encode())
+        out[key] = value
+    sha.update(b"}")
+    return sha.hexdigest(), out
 
 
 def _load_instance(path: str):
-    """Read, validate and digest an instance with the cyclic collector paused.
+    """Read, digest and validate an instance with the cyclic collector paused.
+
+    The digest's walk converts each float block to its array, and
+    ``model.parse_instance`` validates those arrays, so each number is
+    converted once.
 
     A JSON document holds no reference cycles, so reference counting frees
     all of it. With the collector on, building the tree of a wide instance
@@ -60,8 +149,13 @@ def _load_instance(path: str):
                 doc = json.load(fh)
             except RecursionError:
                 raise ShapeMismatch(f"{path}: instance JSON is nested too deeply") from None
+            except ValueError as exc:
+                if isinstance(exc, _FILE_ERRORS):
+                    raise
+                # int() refuses a JSON integer of more than 4300 digits.
+                raise ShapeMismatch(f"{path}: {exc}") from None
+        digest, doc = _digest(doc)  # frees the nested lists that became arrays
         p, q = model.parse_instance(doc)
-        digest = _digest(doc)
         del doc  # free the tree before the collector resumes
     finally:
         if enabled:
@@ -194,7 +288,7 @@ def _cmd_gen(args) -> tuple[str, dict, list[str], str]:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
-    return _digest(doc), result, [], summary
+    return _digest(doc)[0], result, [], summary
 
 
 _COMMANDS: dict[str, Callable] = {

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -359,6 +360,33 @@ class TestReports:
         assert code == 0
         assert json.loads(out)["digest"] == digest
 
+    def test_digest_of_the_benchmark_layout(self, capsys, tmp_path):
+        # The benchmark writes compact JSON with keys in instance_document order.
+        doc = mx.instance_document(*mx.random_instance(200, 2, 3, 2, seed=8, family="subcube"))
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(doc, separators=(",", ":")))
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(doc, sort_keys=True, indent=2))
+        digests = set()
+        for path in (compact, indented):
+            code, out, _ = run_cli(capsys, ["exact-subcube", "--input", str(path)])
+            assert code == 0
+            digests.add(json.loads(out)["digest"])
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert digests == {hashlib.sha256(canonical.encode()).hexdigest()}
+
+    def test_gen_digest_is_the_read_digest(self, capsys, tmp_path):
+        target = tmp_path / "gen.json"
+        code, out, _ = run_cli(
+            capsys,
+            ["gen", "random", "--n", "300", "--q", "2", "--k1", "3", "--k2", "2",
+             "--seed", "1", "--subcube", "--output", str(target)],
+        )
+        assert code == 0
+        code, read, _ = run_cli(capsys, ["exact-subcube", "--input", str(target)])
+        assert code == 0
+        assert json.loads(out)["digest"] == json.loads(read)["digest"]
+
     def test_report_echoes_command(self, capsys, small_instance):
         args = ["brute", "--input", small_instance]
         _, out, _ = run_cli(capsys, args)
@@ -484,3 +512,21 @@ class TestErrorCategories:
         error = json.loads(err)
         assert error["error"] == "validation"
         assert str(path) in error["detail"]
+
+    def test_over_long_integer_is_validation_error(self, capsys, tmp_path):
+        # Python refuses to convert a decimal integer of more than 4300 digits.
+        big = "1" + "0" * 5000
+        p = uniform_bits(2)
+        doc = mx.instance_document(p, p)
+        texts = {
+            "meta": json.dumps({**doc, "meta": "BIG"}),
+            "weight": json.dumps({**doc, "p": {**doc["p"], "weights": ["BIG"]}}),
+        }
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text.replace('"BIG"', big))
+            code, out, err = run_cli(capsys, ["exact-subcube", "--input", str(path)])
+            assert (code, out) == (3, ""), name
+            error = json.loads(err)
+            assert error["error"] == "validation"
+            assert str(path) in error["detail"]
