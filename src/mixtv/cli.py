@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 from itertools import chain
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -45,13 +45,20 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _float_block(value: Any) -> np.ndarray | None:
-    """``value`` as a float64 array if it is a rectangular (k, n, q) list of floats.
+def _float_block(value: Any) -> tuple[np.ndarray, str] | None:
+    """``value`` as a float64 array, and its canonical text, if it is a float block.
 
-    Returns None for anything else: a ragged or empty block, or one with a
-    leaf whose type is not exactly ``float``. Such a block is encoded whole,
-    as a JSON ``1`` is not ``1.0``. Each check is one pass in C: the leaf
-    types are checked over the whole block at once, not row by row.
+    A float block is a rectangular (k, n, q) list whose every leaf has type
+    exactly ``float``. Returns None for anything else: a ragged or empty
+    block, or one with an ``int`` or ``bool`` leaf, as a JSON ``1`` is not
+    ``1.0``. Each check is one pass in C over the whole block.
+
+    The text is ``_canonical(value)``. Each distinct row is encoded once,
+    from its first float objects in ``value``: rows are told apart by
+    their bytes, so ``-0.0`` and ``0.0`` stay apart as they do in the
+    encoding. The distinct rows are encoded in one call and split at
+    ``],[``, which no float's text holds. A block whose rows are mostly
+    distinct is encoded whole, as sorting rows that share nothing only costs.
     """
     if type(value) is not list or set(map(type, value)) != {list}:
         return None
@@ -63,31 +70,14 @@ def _float_block(value: Any) -> np.ndarray | None:
     if set(map(type, chain.from_iterable(rows))) != {float}:
         return None
     k, n, q = len(value), len(value[0]), len(rows[0])
-    return np.fromiter(chain.from_iterable(rows), float, count=k * n * q).reshape(k, n, q)
-
-
-def _block_pieces(block: np.ndarray, value: list) -> Iterator[str]:
-    """The canonical encoding of float block ``value``, in one piece per component.
-
-    ``block`` is ``value`` as :func:`_float_block` returns it. Each distinct
-    row is encoded once, from its first float objects in ``value``. Rows
-    are told apart by their bytes, so ``-0.0`` and ``0.0`` stay apart as
-    they do in the encoding. The distinct rows are encoded in one call and
-    split at ``],[``, which no float's text holds. A block whose rows are
-    mostly distinct is encoded whole.
-    """
-    k, n, q = block.shape
+    block = np.fromiter(chain.from_iterable(rows), float, count=k * n * q).reshape(k, n, q)
     keys = block.reshape(k * n, q).view(np.dtype((np.void, 8 * q)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     if 2 * len(first) > k * n:  # mostly distinct rows: nothing to share
-        yield _canonical(value)
-        return
-    rows = list(chain.from_iterable(value))
+        return block, _canonical(value)
     texts = _canonical([rows[i] for i in first.tolist()])[2:-2].split("],[")
     row_texts = np.array(texts, dtype=object)[inverse].reshape(k, n)
-    for s in range(k):
-        yield ("[[[" if s == 0 else ",[[") + "],[".join(row_texts[s].tolist()) + "]]"
-    yield "]"
+    return block, "[" + ",".join("[[" + "],[".join(r) + "]]" for r in row_texts.tolist()) + "]"
 
 
 def _digest(doc: Any) -> tuple[str, Any]:
@@ -95,9 +85,9 @@ def _digest(doc: Any) -> tuple[str, Any]:
 
     The hash is fed piece by piece. The instance layout is walked with
     sorted keys: the top-level object, then the mixture objects ``p`` and
-    ``q_dist``. Each of their values that :func:`_float_block` reads is
-    encoded by :func:`_block_pieces`; every other value is encoded whole. The
-    returned document is ``doc`` with each such value replaced by its
+    ``q_dist``. Each of their values is hashed as the text that
+    :func:`_float_block` returns, or encoded whole when it returns None.
+    The returned document is ``doc`` with each float block replaced by its
     array, in copies of the objects walked, so ``doc`` is left as it is.
     """
     sha = hashlib.sha256()
@@ -113,14 +103,8 @@ def _digest(doc: Any) -> tuple[str, Any]:
             value = dict(value)
             sha.update(b"{")
             for j, sub in enumerate(sorted(value)):
-                sha.update(f"{',' if j else ''}{_canonical(sub)}:".encode())
-                block = _float_block(value[sub])
-                if block is None:
-                    sha.update(_canonical(value[sub]).encode())
-                    continue
-                for piece in _block_pieces(block, value[sub]):
-                    sha.update(piece.encode())
-                value[sub] = block
+                value[sub], text = _float_block(value[sub]) or (value[sub], _canonical(value[sub]))
+                sha.update(f"{',' if j else ''}{_canonical(sub)}:{text}".encode())
             sha.update(b"}")
         else:
             sha.update(_canonical(value).encode())

@@ -15,6 +15,7 @@ values to the running sum in draw order.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -175,9 +176,7 @@ def approximate_tv(
                 for value in f_values(p, q, dag, omegas).tolist():
                     acc += value
             fbars.append(acc / draws)
-        fbars.sort()
-        mid = len(fbars) // 2
-        fbar = fbars[mid] if len(fbars) % 2 else (fbars[mid - 1] + fbars[mid]) / 2
+        fbar = statistics.median(fbars)
     return TvEstimate(
         estimate=fbar * discrepancy,
         discrepancy=discrepancy,

@@ -148,7 +148,7 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse a DIMACS CNF document (``p cnf r m`` header, 0-terminated clauses).
+    """Parse a DIMACS CNF document: one ``p cnf r m`` header, then 0-terminated clauses.
 
     A line starting with ``%`` ends the clause list, as in SATLIB's uniform
     random 3-SAT files, which close with a ``%`` line and a lone ``0``.
@@ -162,6 +162,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if header is not None:
+                raise NotThreeCnf(f"second DIMACS header: {line!r}")
             parts = line.split()
             try:
                 header = (int(parts[2]), int(parts[3]))
@@ -170,6 +172,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf" or header is None:
                 raise NotThreeCnf(f"malformed DIMACS header: {line!r}")
             continue
+        if header is None:
+            raise NotThreeCnf(f"clause line before the DIMACS header: {line!r}")
         tokens.extend(line.split())
     if header is None:
         raise NotThreeCnf("missing DIMACS 'p cnf' header")

@@ -255,6 +255,19 @@ class TestGen:
         code, _, _ = run_cli(capsys, ["gen", "from-cnf", "--dimacs", str(cnf)])
         assert code == 3
 
+    def test_from_cnf_one_header_before_the_clauses(self, capsys, tmp_path):
+        for name, text in (
+            ("second-header", "p cnf 3 1\np cnf 4 2\n1 2 3 0\n-1 -2 4 0\n"),
+            ("clauses-first", "1 2 3 0\np cnf 3 1\n"),
+        ):
+            cnf = tmp_path / f"{name}.cnf"
+            cnf.write_text(text)
+            code, out, err = run_cli(capsys, ["gen", "from-cnf", "--dimacs", str(cnf)])
+            assert (code, out) == (3, ""), name
+            error = json.loads(err)
+            assert error["error"] == "validation", name
+            assert "DIMACS header" in error["detail"], name
+
 
 class TestShippedSmokeInstances:
     """The seeded instances under instances/ keep approx and brute in agreement."""

@@ -115,3 +115,31 @@ def test_read_matches_json_and_parse_instance(doc_path, case):
     ref_p, ref_q = model.parse_instance(json.loads(text))
     assert_same_bits(p, ref_p)
     assert_same_bits(q, ref_q)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5]]],  # components of different lengths
+        [[[0.5, 0.5], [0.5, 0.25, 0.25]], [[0.5, 0.5], [0.5, 0.5]]],  # rows of different lengths
+    ],
+    ids=["ragged-components", "ragged-rows"],
+)
+def test_ragged_block_is_encoded_whole_and_rejected(doc_path, capsys, components):
+    row = [[0.5, 0.5], [0.5, 0.5]]
+    doc = {
+        "q": 2,
+        "n": 2,
+        "p": {"weights": [0.5, 0.5], "components": components},
+        "q_dist": {"weights": [1.0], "components": [row]},
+    }
+    doc_path.write_text(json.dumps(doc))
+    assert cli._float_block(components) is None
+    assert cli._digest(doc)[0] == canonical_digest(doc)
+    with pytest.raises(mx.ShapeMismatch, match="could not coerce mixture arrays"):
+        cli._load_instance(str(doc_path))
+    assert cli.run(["exact-subcube", "--input", str(doc_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+    assert "could not coerce mixture arrays" in json.loads(err)["detail"]

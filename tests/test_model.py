@@ -89,6 +89,16 @@ class TestValidateMixture:
         m = mx.validate_mixture({"weights": [1.0], "components": [[[True, 0.0]]]})
         assert m.components.tolist() == [[[1.0, 0.0]]]
 
+    def test_rejects_malformed_descriptions(self):
+        with pytest.raises(mx.ShapeMismatch, match="missing key 'components'"):
+            mx.validate_mixture({"weights": [1.0]})
+        with pytest.raises(mx.ShapeMismatch, match=r"a mapping or a \(weights, components\) pair"):
+            mx.validate_mixture(([1.0], [[[0.5, 0.5]]], [1.0]))
+        with pytest.raises(
+            mx.ShapeMismatch, match=r"components \(k, n, q\), got \(1,\) and \(1, 2\)"
+        ):
+            mx.validate_mixture(([1.0], [[0.5, 0.5]]))
+
     def test_mapping_form(self):
         m = mx.validate_mixture({"weights": [1.0], "components": [[[0.5, 0.5]]]})
         assert m.n == 1

@@ -74,6 +74,11 @@ class TestBruteForceChiCounts:
         with pytest.raises(mx.NotASubcube):
             mx.brute_force_chi_counts(p, q)
 
+    def test_rejects_wrong_alphabet(self):
+        p = point_mass((0, 2), q=3)
+        with pytest.raises(mx.WrongAlphabet, match="needs q = 2, got q = 3"):
+            mx.brute_force_chi_counts(p, p)
+
     def test_size_guard(self):
         p, q = mx.random_instance(25, 2, 1, 1, seed=0, family="subcube")
         with pytest.raises(mx.TooLarge):
@@ -90,6 +95,10 @@ class TestCnf:
             mx.CnfFormula(r=2, clauses=((1, 2, 3),))
         with pytest.raises(mx.NotThreeCnf):
             mx.CnfFormula(r=3, clauses=())
+
+    def test_formula_needs_a_variable(self):
+        with pytest.raises(mx.NotThreeCnf, match="at least one variable, got r = 0"):
+            mx.CnfFormula(r=0, clauses=((1, 2, 3),))
 
     def test_literals_canonicalized_by_variable(self):
         f = mx.CnfFormula(r=3, clauses=((3, -1, 2),))
@@ -128,6 +137,22 @@ class TestCnf:
             mx.parse_dimacs("p cnf x y\n1 2 3 0\n")
         with pytest.raises(mx.NotThreeCnf):
             mx.parse_dimacs("p cnf 3 1\n1 two 3 0\n")
+
+    def test_parse_dimacs_rejects_trailing_literals(self):
+        with pytest.raises(mx.NotThreeCnf, match="trailing literals without a terminating 0"):
+            mx.parse_dimacs("p cnf 3 1\n1 2 3 0\n-1 -2\n")
+
+    def test_parse_dimacs_rejects_a_second_header(self):
+        with pytest.raises(mx.NotThreeCnf, match="second DIMACS header: 'p cnf 4 2'"):
+            mx.parse_dimacs("p cnf 3 1\np cnf 4 2\n1 2 3 0\n-1 -2 4 0\n")
+        with pytest.raises(mx.NotThreeCnf, match="second DIMACS header"):
+            mx.parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 3 1\n")
+
+    def test_parse_dimacs_rejects_clauses_before_the_header(self):
+        with pytest.raises(mx.NotThreeCnf, match="clause line before the DIMACS header: '1 2 3 0'"):
+            mx.parse_dimacs("1 2 3 0\np cnf 3 1\n")
+        with pytest.raises(mx.NotThreeCnf, match="before the DIMACS header"):
+            mx.parse_dimacs("c comment\n1 2 3 0\n")
 
 
 class TestGenerate3Cnf:

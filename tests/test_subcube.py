@@ -167,6 +167,12 @@ class TestCubeIntersection:
         with pytest.raises(mx.ShapeMismatch):
             mx.cube_intersection_count(pp, qq, [3])
 
+    def test_rejects_profiles_of_different_dimension(self):
+        pp = mx.classify_subcube(mx.random_instance(3, 2, 1, 1, seed=0, family="subcube")[0])
+        qq = mx.classify_subcube(mx.random_instance(4, 2, 1, 1, seed=0, family="subcube")[1])
+        with pytest.raises(mx.ShapeMismatch, match="profiles disagree on the dimension"):
+            mx.cube_intersection_count(pp, qq, [1, 2])
+
 
 class TestChiCount:
     def test_two_formula_example(self):
