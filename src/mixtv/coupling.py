@@ -22,10 +22,13 @@ states change: a layer whose states take only Type-I edges passes them on
 as they are, and at a coordinate whose marginals repeat the previous one's
 such a layer is a copy of its parent's record, tables included.  Layers
 store no path keys; the diagnostic views derive them from the child tables.
-Both block queries advance one layer at a time: the sampling query walks a
-block of failure-conditioned draws down the DAG together, and the evaluation
-query is one forward pass per block of configurations over the states whose
-paths agree with them.  A direct trajectory simulator
+Such a layer and its copies form a carried run, and every per-layer loop
+(the backward pass and both block queries) takes a run as one vectorised
+step; a layer with Type-II edges is a run of one, stepped alone.  The
+sampling query walks a block of failure-conditioned draws down the DAG
+together, and the evaluation query is one forward pass per block of
+configurations over the states whose paths agree with them.  A direct
+trajectory simulator
 (:func:`simulate_coupling`) provides an independent path for statistical
 cross-validation of the DAG.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .errors import (
     TooLarge,
     ZeroDiscrepancy,
 )
-from .model import Mixture, as_configurations, check_same_domain, config_count
+from .model import Mixture, _chunk_length, as_configurations, check_same_domain, config_count
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +100,11 @@ class _Layer:
     Layers may share arrays: a layer reached only by Type-I edges holds its
     parent layer's ``alpha`` and ``beta``, and at a repeated coordinate it is
     a copy of its parent's record, forward tables (``w1`` through
-    ``upd_alpha``) included.  ``walk`` and ``pfail`` are each layer's own.
-    Every array is read-only, so no write can reach several layers.  A
-    state's total Type-III mass is ``res_p.sum(axis=1)``, summed where read.
+    ``upd_alpha``) included.  On a carried run (:class:`_Run`) ``walk`` and
+    ``pfail`` are slices of one array per run; elsewhere they are the
+    layer's own.  Every array is read-only, so no write can reach several
+    layers.  A state's total Type-III mass is ``res_p.sum(axis=1)``, summed
+    where read.
     A layer that every path fails before holds no state (``M = 0``).
     """
 
@@ -121,6 +126,22 @@ class _Layer:
         return int(self.alpha.shape[0])
 
 
+class _Run(NamedTuple):
+    """Layers ``start..stop-1``, the unit of work of every per-layer loop.
+
+    A carried run is a layer whose states take only Type-I edges and the
+    copies of it at the repeated coordinates that follow: its layers share
+    one forward record, so their states stay put (``child1`` is
+    ``arange(M)``) and no Type-II edge leaves them.  ``walk`` is then the
+    ``(stop - start, M, 3q)`` block whose slices are the layers' ``walk``.
+    Any other layer is a run of one with ``walk`` None.
+    """
+
+    start: int
+    stop: int
+    walk: np.ndarray | None
+
+
 def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """values[idx] with idx == -1 mapping to 0: -1 reads an appended zero."""
     return np.append(values, 0.0)[idx]
@@ -133,10 +154,11 @@ class CouplingDag:
     may run concurrently.
     """
 
-    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer]):
+    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer], runs: list[_Run]):
         self.mix_p = mix_p
         self.mix_q = mix_q
         self._layers = layers
+        self._runs = runs
 
     # -- basic shape ------------------------------------------------------
 
@@ -369,11 +391,15 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     layer's forward tables are the same function of the same inputs, so a
     carried layer at a repeated coordinate is a copy of its parent's record
     and carries its states over again.  Either way the tables hold exactly
-    the bytes a full step would compute.
+    the bytes a full step would compute.  The carried layer and its copies
+    form one carried run (:class:`_Run`), recorded in ``CouplingDag._runs``
+    with every other layer as a run of one.
 
     After the last layer, one backward pass fills each state's failure
     probability ``pfail`` and the cumulative weights ``walk`` of the
-    failure-conditioned walk.  All stored arrays are then made read-only.
+    failure-conditioned walk, one run at a time: a carried run's ``walk``
+    is one ``(L, M, 3q)`` block built by one ``cumsum`` (see
+    :func:`_backward_on_run`).  All stored arrays are then made read-only.
 
     Parameters
     ----------
@@ -401,86 +427,125 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         (bits_p[:, 1:] == bits_p[:, :-1]).all(axis=(0, 2))
         & (bits_q[:, 1:] == bits_q[:, :-1]).all(axis=(0, 2))
     ).tolist() + [False]
+    runs: list[tuple[int, int, bool]] = []  # (start, stop, carried), in layer order
 
-    for depth in range(n):
+    depth = 0
+    while depth < n:
         lay = layers[depth]
         m_here = lay.size
         a, b = lay.alpha, lay.beta
-        # A layer that inherited its tables is a carried layer at a repeated
-        # coordinate: its states pass on again.
-        carry = lay.w1 is not None
-        if not carry:
-            pj = p.components[:, depth, :]  # (k1, q)
-            qj = q.components[:, depth, :]  # (k2, q)
-            pbar = a @ pj  # (M, q)
-            qbar = b @ qj
-            act_a = (a > 0.0)[:, :, None]
-            act_b = (b > 0.0)[:, :, None]
-            min_p = np.where(act_a, pj[None, :, :], np.inf).min(axis=1)
-            max_p = np.where(act_a, pj[None, :, :], -np.inf).max(axis=1)
-            min_q = np.where(act_b, qj[None, :, :], np.inf).min(axis=1)
-            max_q = np.where(act_b, qj[None, :, :], -np.inf).max(axis=1)
-            ell = np.minimum(min_p, min_q)
+        pj = p.components[:, depth, :]  # (k1, q)
+        qj = q.components[:, depth, :]  # (k2, q)
+        pbar = a @ pj  # (M, q)
+        qbar = b @ qj
+        act_a = (a > 0.0)[:, :, None]
+        act_b = (b > 0.0)[:, :, None]
+        min_p = np.where(act_a, pj[None, :, :], np.inf).min(axis=1)
+        max_p = np.where(act_a, pj[None, :, :], -np.inf).max(axis=1)
+        min_q = np.where(act_b, qj[None, :, :], np.inf).min(axis=1)
+        max_q = np.where(act_b, qj[None, :, :], -np.inf).max(axis=1)
+        ell = np.minimum(min_p, min_q)
 
-            # Degeneracy is decided structurally (no active marginal above
-            # ell), which matches exact arithmetic even when the aggregated
-            # marginal rounds away from ell.
-            deg_p = ~(max_p > ell)
-            deg_q = ~(max_q > ell)
-            w2_raw = np.minimum(pbar, qbar) - ell
-            t2 = (w2_raw > 0.0) & ~deg_p & ~deg_q
+        # Degeneracy is decided structurally (no active marginal above
+        # ell), which matches exact arithmetic even when the aggregated
+        # marginal rounds away from ell.
+        deg_p = ~(max_p > ell)
+        deg_q = ~(max_q > ell)
+        w2_raw = np.minimum(pbar, qbar) - ell
+        t2 = (w2_raw > 0.0) & ~deg_p & ~deg_q
 
-            lay.w1 = ell
-            lay.w2 = np.where(t2, w2_raw, 0.0)
-            lay.res_p = np.maximum(pbar - qbar, 0.0)
-            lay.res_q = np.maximum(qbar - pbar, 0.0)
+        lay.w1 = ell
+        lay.w2 = np.where(t2, w2_raw, 0.0)
+        lay.res_p = np.maximum(pbar - qbar, 0.0)
+        lay.res_q = np.maximum(qbar - pbar, 0.0)
 
-            lay.upd_alpha = _reweighted(a, pj, ell, pbar, deg_p)
-            upd_beta = _reweighted(b, qj, ell, qbar, deg_q)
+        lay.upd_alpha = _reweighted(a, pj, ell, pbar, deg_p)
+        upd_beta = _reweighted(b, qj, ell, qbar, deg_q)
 
-            has1 = lay.w1.sum(axis=1) > 0.0
-            n1 = int(has1.sum())
-            par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
-            lay.child2 = np.full((m_here, qq), -1, dtype=np.int64)
-            # Only Type-I edges: every state passes on with its reweighting.
-            # A layer's rows are pairwise distinct (merged or carried over),
-            # so the merge would keep every row in place; it is skipped.
-            carry = n1 == m_here and par2.size == 0
-            if carry:
-                lay.child1 = np.arange(m_here)
-            else:
-                # Children in creation order: Type-I children by parent, then
-                # Type-II children by (parent, value).
-                alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
-                beta = np.concatenate([b[has1], upd_beta[par2, :, c2]], axis=0)
-                keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
-                lay.child1 = np.full(m_here, -1, dtype=np.int64)
-                lay.child1[has1] = index[:n1]
-                lay.child2[par2, c2] = index[n1:]
-                child = _Layer(alpha=alpha[keep], beta=beta[keep])
+        has1 = lay.w1.sum(axis=1) > 0.0
+        n1 = int(has1.sum())
+        par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
+        lay.child2 = np.full((m_here, qq), -1, dtype=np.int64)
+        # Only Type-I edges: every state passes on with its reweighting.
+        # A layer's rows are pairwise distinct (merged or carried over),
+        # so the merge would keep every row in place; it is skipped.
+        carry = n1 == m_here and par2.size == 0
+        stop = depth + 1
         if carry:
-            child = replace(lay) if repeat[depth + 1] else _Layer(alpha=a, beta=b)
-
-        count += child.size
-        if max_states is not None and count > max_states:
-            raise TooLarge(
-                f"state count exceeded max_states={max_states} at layer {depth + 2}"
-            )
-        layers.append(child)
+            lay.child1 = np.arange(m_here)
+            # The states pass on again over the repeated coordinates that
+            # follow, each layer a copy of this record: one carried run.
+            while repeat[stop]:
+                stop += 1
+            children = [replace(lay) for _ in range(depth + 1, stop)] + [_Layer(alpha=a, beta=b)]
+        else:
+            # Children in creation order: Type-I children by parent, then
+            # Type-II children by (parent, value).
+            alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
+            beta = np.concatenate([b[has1], upd_beta[par2, :, c2]], axis=0)
+            keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
+            lay.child1 = np.full(m_here, -1, dtype=np.int64)
+            lay.child1[has1] = index[:n1]
+            lay.child2[par2, c2] = index[n1:]
+            children = [_Layer(alpha=alpha[keep], beta=beta[keep])]
+        runs.append((depth, stop, carry))
+        for child in children:
+            count += child.size
+            if max_states is not None and count > max_states:
+                raise TooLarge(
+                    f"state count exceeded max_states={max_states} at layer {len(layers) + 1}"
+                )
+            layers.append(child)
+        depth = stop
 
     layers[-1].pfail = np.zeros(layers[-1].size)
-    for depth in range(n - 1, -1, -1):
-        lay, nxt = layers[depth], layers[depth + 1].pfail
-        pf1 = _gather(nxt, lay.child1)
-        pf2 = lay.w2 * _gather(nxt, lay.child2)
-        lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_p.sum(axis=1)
-        slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
-        lay.walk = np.cumsum(slots, axis=1)
-    for lay in layers:
+    dag_runs: list[_Run] = []
+    for start, stop, carried in reversed(runs):
+        lay, nxt = layers[start], layers[stop].pfail
+        walk = None
+        if carried:
+            walk = _backward_on_run(layers[start:stop], nxt)
+        else:
+            pf1 = _gather(nxt, lay.child1)
+            pf2 = lay.w2 * _gather(nxt, lay.child2)
+            lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_p.sum(axis=1)
+            slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
+            lay.walk = np.cumsum(slots, axis=1)
+        dag_runs.append(_Run(start, stop, walk))
+    dag_runs.reverse()
+    # A copy's tables are its run's first layer's, and its walk and pfail
+    # are views of read-only blocks.
+    for lay in [layers[run.start] for run in dag_runs] + [layers[-1]]:
         for table in vars(lay).values():
             if table is not None:
                 table.flags.writeable = False
-    return CouplingDag(p, q, layers)
+    return CouplingDag(p, q, layers, dag_runs)
+
+
+def _backward_on_run(run: list[_Layer], nxt: np.ndarray) -> np.ndarray:
+    """Fill ``pfail`` and ``walk`` of a carried run's layers; returns the walk block.
+
+    The float operations are those of the per-layer step: on a carried
+    layer ``child1`` is ``arange(M)`` and every Type-II slot is ``+0.0``,
+    so ``pfail = s1 * pf + 0.0 + r`` with ``pf`` the next layer's, and each
+    walk row is ``cumsum([pf * w1 | 0 | res_p])``.
+    """
+    lay = run[0]
+    length, qq = len(run), lay.w1.shape[1]
+    s1, r = lay.w1.sum(axis=1), lay.res_p.sum(axis=1)
+    pfail = np.empty((length + 1, lay.size))  # row i: layer i of the run; the last, the next layer
+    pfail[length] = nxt
+    for i in range(length - 1, -1, -1):
+        pfail[i] = s1 * pfail[i + 1] + 0.0 + r
+    walk = np.empty((length, lay.size, 3 * qq))
+    np.multiply(pfail[1:, :, None], lay.w1, out=walk[:, :, :qq])
+    walk[:, :, qq : 2 * qq] = 0.0
+    walk[:, :, 2 * qq :] = lay.res_p
+    np.cumsum(walk, axis=2, out=walk)
+    pfail.flags.writeable = walk.flags.writeable = False
+    for i, layer in enumerate(run):
+        layer.pfail, layer.walk = pfail[i], walk[i]
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -521,25 +586,39 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
     ``components[s, i, sigma_i]`` at every later coordinate ``i`` (Horner's
     rule for the suffix probabilities, so no per-layer suffix table is
     stored).  Every sum runs over one row's own terms in a fixed order, so a
-    row's value does not depend on the other rows of the block.
+    row's value does not depend on the other rows of the block.  The pass
+    goes one run of layers at a time: a carried run keeps every triple's
+    state row, so it is taken in chunks of layers by :func:`_masses_on_run`
+    with the same terms in the same order.  The triples of the terminal
+    layer are never built.
     """
     cfgs = as_configurations(dag.mix_p, sigmas)
     n_cfg, n = cfgs.shape
     comp = dag.mix_p.components
+    k1 = comp.shape[0]
     # tails[b, s]: mass that failed at an earlier layer with P-side component
     # s, times component s's probability of sigma_b's coordinates since then.
-    tails = np.zeros((n_cfg, comp.shape[0]))
+    tails = np.zeros((n_cfg, k1))
     idx = np.arange(n_cfg)
     rows = np.zeros(n_cfg, dtype=np.int64)
     reach = np.ones(n_cfg)
-    for depth in range(n):
-        lay = dag._layers[depth]
-        c = cfgs[idx, depth]
-        tails *= comp[:, depth, cfgs[:, depth]].T
+    for start, stop, walk in dag._runs:
+        lay = dag._layers[start]
+        if walk is not None:
+            a = start
+            while a < stop:
+                b = min(stop, a + _chunk_length(max(idx.size, n_cfg * k1)))
+                idx, rows, reach = _masses_on_run(lay, comp, cfgs, tails, a, b, idx, rows, reach)
+                a = b
+            continue
+        c = cfgs[idx, start]
+        tails *= comp[:, start, cfgs[:, start]].T
         failed = reach * lay.res_p[rows, c]
         upd = lay.upd_alpha[rows, :, c]
-        for s in range(comp.shape[0]):
+        for s in range(k1):
             tails[:, s] += np.bincount(idx, weights=failed * upd[:, s], minlength=n_cfg)
+        if stop == n:  # nothing reads the triples of the terminal layer
+            break
         w1 = lay.w1[rows, c]
         child2 = lay.child2[rows, c]
         go1, go2 = w1 > 0.0, child2 >= 0
@@ -547,9 +626,55 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
         reach = np.concatenate([reach[go1] * w1[go1], reach[go2] * lay.w2[rows[go2], c[go2]]])
         rows = np.concatenate([lay.child1[rows[go1]], child2[go2]])
     total = tails[:, 0].copy()
-    for s in range(1, comp.shape[0]):
+    for s in range(1, k1):
         total += tails[:, s]
     return total
+
+
+def _masses_on_run(
+    lay: _Layer,
+    comp: np.ndarray,
+    cfgs: np.ndarray,
+    tails: np.ndarray,
+    a: int,
+    b: int,
+    idx: np.ndarray,
+    rows: np.ndarray,
+    reach: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`failure_masses` over layers ``a..b-1`` of one carried run.
+
+    The triples keep their rows, and their reach at each layer is one
+    ``np.multiply.accumulate`` of the Type-I weights.  A triple whose
+    Type-I weight is 0 at some layer stays to the chunk's end: its reach,
+    and so every term it adds, is ``+0.0`` from then on, which leaves every
+    sum's bits unchanged.  Bin ``l * B + idx`` of one ``bincount`` per
+    component collects layer ``l``'s terms of row ``idx`` in triple order,
+    as the per-layer step adds them.  Updates ``tails`` in place and
+    returns the triples that pass on.
+    """
+    length, (n_cfg, k1), qq = b - a, tails.shape, lay.w1.shape[1]
+    cell = rows * qq + cfgs.T[a:b, idx]  # (L, T): flat index of (row, sigma_j) in a (M, q) table
+    reaches = np.empty((length + 1, idx.size))
+    reaches[0] = reach
+    lay.w1.take(cell, out=reaches[1:])
+    keep = (reaches[1:] > 0.0).all(axis=0)
+    np.multiply.accumulate(reaches, axis=0, out=reaches)
+    failed = lay.res_p.take(cell)
+    failed *= reaches[:length]
+    bins = (np.arange(length)[:, None] * n_cfg + idx).ravel()
+    cell += rows * ((k1 - 1) * qq)  # flat index of (row, 0, sigma_j) in upd_alpha
+    added = np.empty((length, n_cfg, k1))
+    for s in range(k1):
+        terms = lay.upd_alpha.take(cell)
+        terms *= failed
+        added[:, :, s] = np.bincount(bins, weights=terms.ravel(), minlength=length * n_cfg).reshape(length, n_cfg)
+        cell += qq
+    factors = comp.transpose(1, 2, 0)[np.arange(a, b)[:, None], cfgs[:, a:b].T]  # (L, B, k1)
+    for i in range(length):
+        tails *= factors[i]
+        tails += added[i]
+    return idx[keep], rows[keep], reaches[length, keep]
 
 
 def evaluate_failure_mass(dag: CouplingDag, sigma: Sequence[int]) -> float:
@@ -609,8 +734,12 @@ def sample_failed_trajectories(
     component pick reads column ``d + 1`` and tail coordinate ``j > d``
     reads column ``j + 1``.  So row ``b`` is the ``b``-th of ``count``
     sequential one-row calls, and the generator ends in the same state.
-    All rows advance together, one layer at a time: the rows still walking
-    pick an edge, the rows that failed earlier draw their tail coordinate.
+    All rows advance together, one run of layers at a time (:class:`_Run`):
+    the rows still walking pick an edge, the rows that failed earlier draw
+    their tail coordinates.  On a carried run the walking rows keep their
+    states, so one pick covers all of the run's layers, and each row's
+    first failure among them is found with ``argmax``; the picks after it
+    are discarded.
     """
     if count < 1:
         raise ShapeMismatch(f"count must be at least 1, got {count}")
@@ -624,12 +753,22 @@ def sample_failed_trajectories(
     rows = np.zeros(count, dtype=np.int64)  # their states in the current layer
     failed = np.zeros(0, dtype=np.int64)  # draws past their failure layer
     component = np.zeros(0, dtype=np.int64)  # their P-side components
-    for depth in range(n):
+    for start, stop, walk in dag._runs:
+        lay = dag._layers[start]
+        if walk is not None:
+            a = start
+            while a < stop:
+                b = min(stop, a + _chunk_length(max(walking.size * 3 * qq, failed.size * qq)))
+                walking, rows, failed, component = _walk_on_run(
+                    lay, walk[a - start : b - start], cum_comp, u, out, a, walking, rows, failed, component
+                )
+                a = b
+            continue
+        depth = start
         if failed.size:
             out[failed, depth] = _pick_rows(u[failed, depth + 1], cum_comp[component, depth])
         if not walking.size:
             continue
-        lay = dag._layers[depth]
         band, c = np.divmod(_pick_rows(u[walking, depth], lay.walk[rows]), qq)
         out[walking, depth] = c
         fail = band == 2
@@ -643,6 +782,53 @@ def sample_failed_trajectories(
     if walking.size:
         raise FactViolation(f"{walking.size} of {count} draws never reached the failure sink")
     return out
+
+
+def _walk_on_run(
+    lay: _Layer,
+    walk: np.ndarray,
+    cum_comp: np.ndarray,
+    u: np.ndarray,
+    out: np.ndarray,
+    a: int,
+    walking: np.ndarray,
+    rows: np.ndarray,
+    failed: np.ndarray,
+    component: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sample_failed_trajectories` over the ``L`` layers ``a..a+L-1`` of a carried run.
+
+    ``walk`` is the run's walk block over those layers.  Every decision
+    reads the double the per-layer walk reads: layer ``j``'s edge pick
+    column ``j``, the component pick after a failure at ``j`` column
+    ``j + 1``, and the tail coordinate at ``j`` column ``j + 1``.  Writes
+    ``out`` and returns the updated ``(walking, rows, failed, component)``.
+    """
+    length, _, width = walk.shape
+    qq = width // 3
+    first = np.full(failed.size, -1)  # run layer a row failed at; -1 before the run
+    if walking.size:
+        slot = _pick_rows(u[walking, a : a + length].T.ravel(), walk[:, rows].reshape(-1, width))
+        band, c = np.divmod(slot.reshape(length, walking.size), qq)  # band is 0 or 2
+        out[walking, a : a + length] = c.T
+        fail = band == 2
+        hit = fail.any(axis=0)
+        if hit.any():
+            at = fail.argmax(axis=0)[hit]
+            new, new_rows = walking[hit], rows[hit]
+            weights = np.cumsum(lay.upd_alpha[new_rows, :, c[at, hit]], axis=1)
+            failed = np.concatenate([failed, new])
+            component = np.concatenate([component, _pick_rows(u[new, a + at + 1], weights)])
+            first = np.concatenate([first, at])
+            walking, rows = walking[~hit], rows[~hit]
+    if failed.size:
+        tail = _pick_rows(
+            u[failed, a + 1 : a + length + 1].ravel(),
+            cum_comp[component, a : a + length].reshape(-1, qq),
+        ).reshape(failed.size, length)
+        r, i = np.nonzero(np.arange(length) > first[:, None])
+        out[failed[r], a + i] = tail[r, i]
+    return walking, rows, failed, component
 
 
 def sample_failed_trajectory(dag: CouplingDag, rng: np.random.Generator) -> tuple[int, ...]:

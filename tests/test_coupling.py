@@ -1,5 +1,9 @@
+import functools
 import hashlib
+import importlib.util
 import json
+import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from itertools import product
 from pathlib import Path
@@ -13,6 +17,7 @@ from mixtv import coupling
 from conftest import lex_configs, mixture, point_mass, uniform_bits
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 # Doubles at the edges of [0, 1] and at ties of the cumulative rows below.
 EDGE_DOUBLES = (0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0)
 
@@ -51,6 +56,61 @@ def dense_failure_mass(dag, sigma):
     return float(psi[0])
 
 
+def per_layer_failure_masses(dag, sigmas):
+    """:func:`mixtv.failure_masses` as one round of array calls per layer, the
+    way it was computed before runs of layers were walked in one step."""
+    cfgs = np.asarray(sigmas, dtype=np.int64)
+    n_cfg, n = cfgs.shape
+    comp = dag.mix_p.components
+    tails = np.zeros((n_cfg, comp.shape[0]))
+    idx = np.arange(n_cfg)
+    rows = np.zeros(n_cfg, dtype=np.int64)
+    reach = np.ones(n_cfg)
+    for depth in range(n):
+        lay = dag._layers[depth]
+        c = cfgs[idx, depth]
+        tails *= comp[:, depth, cfgs[:, depth]].T
+        failed = reach * lay.res_p[rows, c]
+        upd = lay.upd_alpha[rows, :, c]
+        for s in range(comp.shape[0]):
+            tails[:, s] += np.bincount(idx, weights=failed * upd[:, s], minlength=n_cfg)
+        w1 = lay.w1[rows, c]
+        child2 = lay.child2[rows, c]
+        go1, go2 = w1 > 0.0, child2 >= 0
+        idx = np.concatenate([idx[go1], idx[go2]])
+        reach = np.concatenate([reach[go1] * w1[go1], reach[go2] * lay.w2[rows[go2], c[go2]]])
+        rows = np.concatenate([lay.child1[rows[go1]], child2[go2]])
+    total = tails[:, 0].copy()
+    for s in range(1, comp.shape[0]):
+        total += tails[:, s]
+    return total
+
+
+@functools.cache
+def benchmark_workloads():
+    """perfbench/workloads.py, whose generators build the benchmark's pairs."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def padded_pair(core_n, shared):
+    """A q = 4 perturbed pair on ``core_n`` coordinates with ``shared`` copies
+    of one Dirichlet row appended to all six components: its DAG ends in a
+    run of ``shared`` layers that carry the core's last states."""
+    rng = np.random.default_rng(761)
+    p, q = benchmark_workloads().perturbed_pair(rng, core_n, 4, 3)
+    row = rng.dirichlet(np.full(4, 1.5))
+
+    def pad(m):
+        tail = np.broadcast_to(row, (m.k, shared, 4))
+        return mx.validate_mixture((m.weights, np.concatenate([m.components, tail], axis=1)))
+
+    return pad(p), pad(q)
+
+
 def pick_index(rng, cumulative):
     """One inverse-CDF pick on a cumulative row, with the upper-edge clip and
     the rule that a tie goes to the first of the tied slots."""
@@ -63,8 +123,9 @@ def pick_index(rng, cumulative):
     return slot
 
 
-def scalar_trajectory(dag, rng):
-    """The failure-conditioned walk, one scalar pick per layer and per tail coordinate."""
+def scalar_trajectory(dag, rng, failures=None):
+    """The failure-conditioned walk, one scalar pick per layer and per tail
+    coordinate; the layer it fails at is appended to ``failures`` if given."""
     comp = dag.mix_p.components
     out, depth, row = [], 0, 0
     while True:
@@ -76,6 +137,8 @@ def scalar_trajectory(dag, rng):
         elif band == 1:
             row = int(lay.child2[row, c])
         else:
+            if failures is not None:
+                failures.append(depth)
             s = pick_index(rng, np.cumsum(lay.upd_alpha[row, :, c]))
             for i in range(depth + 1, dag.n):
                 out.append(pick_index(rng, np.cumsum(comp[s, i])))
@@ -107,17 +170,42 @@ def assert_merged_and_canonical(dag):
             assert not np.signbit(lay.upd_alpha).any()
 
 
-def windowed_pair(seed, n=100, k=3, fixed=3):
+def windowed_pair(seed, n=100, k=3, fixed=3, tilt=0.0):
     """Uniform-weight subcube pair, k + k components each fixing ``fixed``
-    coordinates to one shared target point, so every cube holds it."""
+    coordinates to one shared target point, so every cube holds it.  With
+    ``tilt``, Q's free coordinates put ``0.5 + tilt`` on value 0, so the
+    runs of free coordinates carry failure mass (no longer a subcube pair)."""
     rng = np.random.default_rng(seed)
     target = rng.integers(0, 2, size=n)
     comps = np.full((2 * k, n, 2), 0.5)
+    comps[k:] = (0.5 + tilt, 0.5 - tilt)
     for s in range(2 * k):
         pos = rng.choice(n, size=fixed, replace=False)
         comps[s, pos] = np.eye(2)[target[pos]]
     weights = np.full(k, 1.0 / k)
     return mixture(weights, comps[:k]), mixture(weights, comps[k:])
+
+
+def shared_runs(dag):
+    """``(start, stop)`` of each maximal range of at least two layers that
+    share one forward record, found by the identity of their tables."""
+    layers, runs, start = dag._layers, [], 0
+    for depth in range(1, dag.n + 1):
+        if depth == dag.n or layers[depth].w1 is not layers[depth - 1].w1:
+            if depth - start > 1:
+                runs.append((start, depth))
+            start = depth
+    return runs
+
+
+def assert_failures_cover_the_runs(dag, failures):
+    """Some walk failed at a run's first layer, one at its last layer, and
+    one inside a run, so its tail was drawn over the run's later layers."""
+    runs = shared_runs(dag)
+    assert runs
+    assert any(f == start for f in failures for start, _ in runs)
+    assert any(f == stop - 1 for f in failures for _, stop in runs)
+    assert any(start <= f < stop - 1 for f in failures for start, stop in runs)
 
 
 def path_key_count(p, q):
@@ -538,6 +626,15 @@ PINNED_DEEP_ESTIMATES = {
 }
 
 
+# estimate_hex-style values of windowed_subcube_pair(default_rng(1), 400,
+# window=400, k1=3, k2=3) at seed 0, by draw count, recorded while every
+# query still took one round of array calls per layer.
+PINNED_RUN_ESTIMATES = {
+    100: ("0x1.77cf06ada2810p-1", "0x1.f7fffffffffffp-1"),
+    2000: ("0x1.6b51798b5a606p-1", "0x1.f7fffffffffffp-1"),
+}
+
+
 def assert_tables_fit_their_layer(p, q, dag):
     """Each layer's Type-I weights and P-side residuals are those of its own
     states at its own coordinate, whatever tables the layer shares."""
@@ -604,6 +701,30 @@ class TestCarryOver:
             assert_tables_fit_their_layer(p, q, dag)
         assert carried and mixed
 
+    def test_runs_cover_the_layers_and_hold_their_walk_blocks(self, random_dags):
+        windowed = [windowed_pair(seed, n=40) for seed in range(3)]
+        for p, q, dag in [*random_dags, *((p, q, mx.build_dag(p, q)) for p, q in windowed)]:
+            layers, runs = dag._layers, dag._runs
+            assert [run.start for run in runs] == [0] + [run.stop for run in runs[:-1]]
+            assert runs[-1].stop == p.n
+            assert [(start, stop) for start, stop, _ in runs if stop - start > 1] == shared_runs(dag)
+            for start, stop, walk in runs:
+                lay = layers[start]
+                only_type_one = (lay.w1.sum(axis=1) > 0.0).all() and not (lay.w2 > 0.0).any()
+                assert (walk is not None) == only_type_one
+                if walk is None:
+                    assert stop == start + 1
+                    continue
+                assert walk.shape == (stop - start, lay.size, 3 * p.q)
+                assert not walk.flags.writeable
+                for depth in range(start, stop):
+                    assert layers[depth].w1 is lay.w1 and layers[depth].alpha is lay.alpha
+                    assert layers[depth].walk.base is walk
+                    np.testing.assert_array_equal(layers[depth].walk, walk[depth - start])
+                    assert layers[depth].pfail.base is layers[start].pfail.base is not None
+                if stop < p.n:
+                    assert layers[stop].w1 is not lay.w1
+
     def test_layer_tables_are_read_only(self):
         p, q = windowed_pair(0, n=30)
         dag = mx.build_dag(p, q)
@@ -616,6 +737,33 @@ class TestCarryOver:
     @pytest.mark.parametrize("name,seed", sorted(PINNED_DEEP_ESTIMATES))
     def test_estimates_are_bit_identical_to_the_per_layer_build(self, name, seed):
         assert estimate_hex(name, seed) == PINNED_DEEP_ESTIMATES[name, seed]
+
+    @pytest.mark.parametrize("draws", sorted(PINNED_RUN_ESTIMATES))
+    def test_estimates_are_bit_identical_to_the_per_layer_walk(self, draws):
+        # 382 of the 400 layers of this pair are carried, in runs of up to 33.
+        p, q = benchmark_workloads().windowed_subcube_pair(
+            np.random.default_rng(1), 400, window=400, k1=3, k2=3
+        )
+        config = mx.EstimatorConfig(epsilon=0.1, seed=0, samples_override=draws)
+        est = mx.approximate_tv(p, q, config)
+        assert (est.estimate.hex(), est.discrepancy.hex()) == PINNED_RUN_ESTIMATES[draws]
+
+    def test_failure_masses_of_a_long_run_stay_small(self):
+        # 100 repeated coordinates after a 5-coordinate core with 1,255 states
+        # in its last layer; 256 draws reach the run with about 7,300
+        # (row, state, reach) triples.  Measured before runs were walked in
+        # one step: a peak of 0.79 MB.
+        p, q = padded_pair(5, 100)
+        dag = mx.build_dag(p, q)
+        sigmas = mx.sample_failed_trajectories(dag, np.random.default_rng(0), 256)
+        tracemalloc.start()
+        try:
+            masses = mx.failure_masses(dag, sigmas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert masses.tobytes() == per_layer_failure_masses(dag, sigmas).tobytes()
 
 
 class TestFailureProbability:
@@ -709,6 +857,27 @@ class TestEvaluateFailureMass:
             assert mx.failure_masses(dag, cfg[None, :])[0] == value
 
 
+    @pytest.mark.parametrize("n,tilt", [(40, 0.0), (40, 0.01), (400, 0.0)])
+    def test_windowed_masses_match_the_per_layer_loop(self, n, tilt):
+        p, q = windowed_pair(2, n=n, tilt=tilt)
+        dag = mx.build_dag(p, q)
+        assert shared_runs(dag)
+        rng = np.random.default_rng(3)
+        sigmas = np.concatenate(
+            [mx.sample_failed_trajectories(dag, rng, 256), rng.integers(0, 2, size=(64, n))]
+        )
+        masses = mx.failure_masses(dag, sigmas)
+        assert (masses > 0.0).any()
+        assert masses.tobytes() == per_layer_failure_masses(dag, sigmas).tobytes()
+
+    def test_random_masses_match_the_per_layer_loop(self, random_dags):
+        for p, _, dag in random_dags:
+            configs = np.array(lex_configs(p.n, p.q))
+            assert mx.failure_masses(dag, configs).tobytes() == (
+                per_layer_failure_masses(dag, configs).tobytes()
+            )
+
+
 class TestSampleFailedTrajectory:
     def test_deterministic_single_failure(self):
         dag = mx.build_dag(uniform_bits(1), point_mass((0,)))
@@ -788,38 +957,52 @@ class TestSampleFailedTrajectory:
             expect = [pick_index(ScriptedRng([u]), row) for row in cumulative]
             assert rows.tolist() == expect
 
-    @pytest.mark.parametrize("family", ["general", "subcube"])
+    @pytest.mark.parametrize("family", ["general", "subcube", "windowed"])
     @pytest.mark.parametrize("count", [1, 7, 256])
     def test_blocks_match_sequential_scalar_walks(self, family, count):
         # The subcube pair has marginals 0 and 1, so its cumulative rows tie.
-        p, q = mx.random_instance(6, 2 if family == "subcube" else 3, 3, 2, seed=8, family=family)
+        # The tilted windowed pair has runs of repeated coordinates that
+        # carry failure mass.
+        if family == "windowed":
+            p, q = windowed_pair(1, n=40, k=2, fixed=2, tilt=0.01)
+        else:
+            p, q = mx.random_instance(6, 2 if family == "subcube" else 3, 3, 2, seed=8, family=family)
         dag = mx.build_dag(p, q)
         batched, scalar = np.random.default_rng(4), np.random.default_rng(4)
+        failures = []
         for _ in range(3):
             block = mx.sample_failed_trajectories(dag, batched, count)
-            assert block.shape == (count, 6) and block.dtype == np.int64
+            assert block.shape == (count, p.n) and block.dtype == np.int64
             assert [tuple(row) for row in block.tolist()] == [
-                scalar_trajectory(dag, scalar) for _ in range(count)
+                scalar_trajectory(dag, scalar, failures) for _ in range(count)
             ]
         assert batched.random() == scalar.random()
+        if family == "windowed" and count == 256:
+            assert_failures_cover_the_runs(dag, failures)
 
-    @pytest.mark.parametrize("family", ["general", "subcube"])
+    @pytest.mark.parametrize("family", ["general", "subcube", "windowed"])
     def test_edge_doubles_pick_like_the_scalar_walk(self, family):
         # Every assignment of the edge and tie doubles to the n + 1 doubles of
         # a draw, so each one reaches the slot pick of every layer, the
         # component pick and the tail picks.
-        p, q = mx.random_instance(3, 2, 3, 2, seed=8 if family == "general" else 3, family=family)
+        if family == "windowed":  # a run of three repeated coordinates
+            p, q = windowed_pair(1, n=4, k=1, fixed=1, tilt=0.01)
+        else:
+            p, q = mx.random_instance(3, 2, 3, 2, seed=8 if family == "general" else 3, family=family)
         dag = mx.build_dag(p, q)
         if family == "subcube":  # tied walk-table and component rows
             assert any((np.diff(lay.walk, axis=1) == 0.0).any() for lay in dag._layers[:-1])
             assert any((lay.upd_alpha[:, 1:] == 0.0).any() for lay in dag._layers[:-1])
-        script = [u for combo in product(EDGE_DOUBLES, repeat=4) for u in combo]
-        block = mx.sample_failed_trajectories(dag, ScriptedRng(script), len(script) // 4)
-        scalar = ScriptedRng(script)
+        width = p.n + 1
+        script = [u for combo in product(EDGE_DOUBLES, repeat=width) for u in combo]
+        block = mx.sample_failed_trajectories(dag, ScriptedRng(script), len(script) // width)
+        scalar, failures = ScriptedRng(script), []
         assert [tuple(row) for row in block.tolist()] == [
-            scalar_trajectory(dag, scalar) for _ in range(len(block))
+            scalar_trajectory(dag, scalar, failures) for _ in range(len(block))
         ]
         assert scalar.values == []
+        if family == "windowed":
+            assert_failures_cover_the_runs(dag, failures)
 
     def test_non_positive_count_is_a_shape_error(self, uniform2, point00):
         dag = mx.build_dag(uniform2, point00)
@@ -833,6 +1016,9 @@ class TestSampleFailedTrajectory:
         dag = mx.build_dag(uniform2, point00)
         for lay in dag._layers[:-1]:
             monkeypatch.setattr(lay, "walk", np.ones_like(lay.walk))
+        assert any(run.walk is not None for run in dag._runs)
+        ones = [run if run.walk is None else run._replace(walk=np.ones_like(run.walk)) for run in dag._runs]
+        monkeypatch.setattr(dag, "_runs", ones)  # and each carried run's walk block
         with pytest.raises(mx.FactViolation, match="never reached the failure sink"):
             mx.sample_failed_trajectories(dag, np.random.default_rng(0), 5)
 

@@ -142,6 +142,18 @@ class TestMass:
         block = mx.masses(p, configs[::-1])
         assert block.tolist() == [suffix_mass(p, 1, p.weights, c) for c in configs[::-1]]
 
+    def test_long_block_rows_equal_suffix_mass(self):
+        # 2,001 coordinates, so a fold over chunks of coordinates ends on a
+        # partial chunk; rows close to 1 keep every product far from underflow.
+        rng = np.random.default_rng(6)
+        eps = rng.uniform(0.0, 1e-3, size=(3, 2001, 1))
+        p = mixture([0.2, 0.3, 0.5], np.concatenate([1.0 - eps, eps], axis=2))
+        configs = (rng.random((64, 2001)) < 0.01).astype(np.int64)
+        block = mx.masses(p, configs)
+        assert (block > 1e-200).all()
+        assert block.tolist() == [suffix_mass(p, 1, p.weights, c) for c in configs]
+        assert block.tolist() == [mx.mass(p, c) for c in configs]
+
     def test_block_rejects_bad_shapes(self):
         m = uniform_bits(2)
         for block in ([0, 1], [[0, 1, 1]], [[0, 2]], [[0, 1], [-1, 0]]):
