@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import io
 import json
+import re
 import sys
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Sequence
 
@@ -26,6 +29,14 @@ from .errors import NumericalError, ShapeMismatch, TooLarge, ValidationError
 _FILE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)
 # The keys of the instance layout whose objects hold a mixture's arrays.
 _MIXTURES = ("p", "q_dist")
+# JSON's whitespace bytes.
+_WS = b" \t\n\r"
+# 0 for JSON whitespace and one-byte tokens, 1 for every other byte.
+_OTHER = bytes(c not in b"[]{},: \t\n\r" for c in range(256))
+_SLICE = 1 << 20  # bytes that _runs maps at a time
+# A JSON string: its quotes, and between them any byte but a quote or a
+# backslash, or a backslash and the byte it escapes.
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_MAX_CONFIGS = 2**24
@@ -45,102 +56,237 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _float_block(value: Any) -> tuple[np.ndarray, str] | None:
-    """``value`` as a float64 array, and its canonical text, if it is a float block.
+@dataclass(frozen=True)
+class _Block:
+    """A float block cut from an instance's text: its array and its canonical text."""
+
+    array: np.ndarray
+    text: bytes | memoryview
+
+
+def _runs(data: bytes, lo: int, hi: int) -> int:
+    """How many runs ``data[lo:hi]`` holds of bytes other than JSON whitespace and ``[]{},:``."""
+    runs, last = 0, 0
+    for start in range(lo, hi, _SLICE):  # small temporaries: no fresh pages to fault in
+        other = np.frombuffer(data[start : min(start + _SLICE, hi)].translate(_OTHER), np.uint8)
+        runs += int(other[0] > last) + int(np.count_nonzero(other[1:] > other[:-1]))
+        last = other[-1]
+    return runs
+
+
+def _read_block(span: memoryview) -> _Block | None:
+    """The float block that ``span``, compact text from ``[[[`` to ``]]]``, spells, or None.
 
     A float block is a rectangular (k, n, q) list whose every leaf has type
-    exactly ``float``. Returns None for anything else: a ragged or empty
-    block, or one with an ``int`` or ``bool`` leaf, as a JSON ``1`` is not
-    ``1.0``. Each check is one pass in C over the whole block.
-
-    The text is ``_canonical(value)``. Each distinct row is encoded once,
-    from its first float objects in ``value``: rows are told apart by
-    their bytes, so ``-0.0`` and ``0.0`` stay apart as they do in the
-    encoding. The distinct rows are encoded in one call and split at
-    ``],[``, which no float's text holds. A block whose rows are mostly
-    distinct is encoded whole, as sorting rows that share nothing only costs.
+    exactly ``float``; a ragged or empty block, or one with an ``int`` or
+    ``bool`` leaf (a JSON ``1`` is not ``1.0``), is None. The span is split
+    at its component and row separators, and each distinct row text is
+    parsed once, in one ``json.loads`` call. Rows are told apart by their
+    text, so ``-0.0`` and ``0.0`` stay apart, as in the encoding, and so do
+    ``0.5`` and ``0.50``, whose canonical texts agree. The block's text is
+    the canonical text of each of its rows, joined: ``span`` itself when
+    every row is spelled as it encodes.
     """
-    if type(value) is not list or set(map(type, value)) != {list}:
+    components = [c.split(b"],[") for c in span[3:-3].tobytes().split(b"]],[[")]
+    k, n = len(components), len(components[0])
+    if set(map(len, components)) != {n}:
         return None
-    if set(map(len, value)) != {len(value[0])}:
+    rows = list(chain.from_iterable(components))
+    distinct = list(dict.fromkeys(rows))
+    try:  # "[[],[row],...,[row],[]]": the distinct rows between two empty lists
+        joined = b"],[".join([b"[[", *distinct, b"]]"]).decode()
+        values = json.loads(joined)
+    except (ValueError, RecursionError):  # not UTF-8 or not JSON, or an integer too long to convert
         return None
-    rows = list(chain.from_iterable(value))
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])}:
+    # As many lists as the join made hold its brackets only: no row holds one.
+    rows_values = values[1:-1]
+    if (
+        len(rows_values) != len(distinct)
+        or set(map(type, rows_values)) != {list}
+        or set(map(len, rows_values)) != {len(rows_values[0])}
+        or set(map(type, chain.from_iterable(rows_values))) != {float}
+    ):
         return None
-    if set(map(type, chain.from_iterable(rows))) != {float}:
-        return None
-    k, n, q = len(value), len(value[0]), len(rows[0])
-    block = np.fromiter(chain.from_iterable(rows), float, count=k * n * q).reshape(k, n, q)
-    keys = block.reshape(k * n, q).view(np.dtype((np.void, 8 * q)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if 2 * len(first) > k * n:  # mostly distinct rows: nothing to share
-        return block, _canonical(value)
-    texts = _canonical([rows[i] for i in first.tolist()])[2:-2].split("],[")
-    row_texts = np.array(texts, dtype=object)[inverse].reshape(k, n)
-    return block, "[" + ",".join("[[" + "],[".join(r) + "]]" for r in row_texts.tolist()) + "]"
+    q = len(rows_values[0])
+    array = np.fromiter(chain.from_iterable(rows_values), float, len(distinct) * q).reshape(-1, q)
+    if len(distinct) < len(rows):
+        index = dict(zip(distinct, range(len(distinct))))
+        array = array[np.fromiter(map(index.__getitem__, rows), np.intp, len(rows))]
+    canonical = _canonical(values)
+    if canonical == joined:
+        return _Block(array.reshape(k, n, q), span)
+    # A row not spelled as it encodes: join the canonical texts of the rows.
+    # No float's text holds "],[".
+    texts = dict(zip(distinct, canonical[5:-5].encode().split(b"],[")))
+    rows = list(map(texts.__getitem__, rows))
+    text = b"]],[[".join(b"],[".join(rows[c * n : (c + 1) * n]) for c in range(k))
+    return _Block(array.reshape(k, n, q), b"[[[" + text + b"]]]")
 
 
-def _digest(doc: Any) -> tuple[str, Any]:
-    """SHA-256 of ``_canonical(doc)``, and ``doc`` with its float blocks as arrays.
+def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
+    """``data`` with each float block outside its strings cut out, and those blocks.
+
+    Each cut block leaves the token ``NaN`` behind, which ``json.loads``
+    hands to its ``parse_constant`` hook in text order, and the text outside
+    strings loses its whitespace. JSON whitespace may go where it sits next
+    to one of ``[]{},:``; between two other bytes (``1.0 5``, ``tr ue``) it
+    parts two tokens that deleting it would join, which only an invalid
+    document holds. Nothing is cut then, when the runs of such bytes fall in
+    number, nor when the text left outside strings holds a ``NaN`` of its own.
+    """
+    # (start, stop) of each string, in order; the text outside lies between them.
+    cuts = [0, *chain.from_iterable(m.span() for m in _STRING.finditer(data)), len(data)]
+    strings = [data[start:stop] for start, stop in zip(cuts[1:-1:2], cuts[2:-1:2])]
+    tight = data
+    if any(ws in data for ws in _WS):
+        tight = data.translate(None, _WS)
+        # The cuts in tight: no quote lies between two strings.
+        moved, stop = [0], 0
+        for string in strings:
+            start = tight.find(b'"', stop)
+            stop = start + len(string.translate(None, _WS))
+            moved += (start, stop)
+        moved.append(len(tight))
+        runs = sum(_runs(data, lo, hi) - _runs(tight, lo_t, hi_t)
+                   for lo, hi, lo_t, hi_t in zip(cuts[::2], cuts[1::2], moved[::2], moved[1::2]))
+        if runs:
+            return data, []
+        cuts = moved
+    view, pieces, kept, blocks = memoryview(tight), [], [], []
+    for lo, hi, string in zip(cuts[::2], cuts[1::2], [*strings, b""]):
+        start = tight.find(b"[[[", lo, hi)
+        while start >= 0 and (end := tight.find(b"]]]", start, hi)) >= 0:
+            # Each "[[[" before end shares this end, and a block holds no other
+            # "[[[": so the block starts at start or else at the last of them.
+            block = _read_block(view[start : end + 3])
+            if block is None and (last := tight.rfind(b"[[[", start + 1, end)) > start:
+                start, block = last, _read_block(view[last : end + 3])
+            if block is not None:
+                kept.append(tight[lo:start])
+                pieces += (kept[-1], b"NaN")
+                blocks.append(block)
+                lo = end + 3
+            start = tight.find(b"[[[", end + 3, hi)
+        kept.append(tight[lo:hi])
+        pieces += (kept[-1], string)
+    if any(b"NaN" in piece for piece in kept):
+        return data, []
+    return b"".join(pieces), blocks
+
+
+def _parse_json(data: bytes, path: str) -> Any:
+    """The document in ``data``, decoded and parsed as ``json.load`` reads a file in text mode."""
+    try:
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except RecursionError:
+        raise ShapeMismatch(f"{path}: instance JSON is nested too deeply") from None
+    except ValueError as exc:
+        if isinstance(exc, _FILE_ERRORS):
+            raise
+        # int() refuses a JSON integer of more than 4300 digits.
+        raise ShapeMismatch(f"{path}: {exc}") from None
+
+
+def _expand(doc: Any) -> Any:
+    """``doc`` with each block left in it as the nested lists it was cut from."""
+    if type(doc) is _Block:
+        return doc.array.tolist()
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if type(node) is dict else enumerate(node):
+            if type(value) is _Block:
+                node[key] = value.array.tolist()
+            elif type(value) in (dict, list):
+                stack.append(value)
+    return doc
+
+
+def _read(data: bytes, path: str) -> tuple[Any, dict[tuple[str, str], bytes | memoryview]]:
+    """The document that the file's bytes ``data`` hold, and the canonical texts of its arrays.
+
+    Only the skeleton of ``data`` (see :func:`_skeleton`) goes through
+    ``json.loads``. A block that lands as a value of the mixture object
+    ``p`` or ``q_dist`` becomes its array, keyed by (mixture, key) in the
+    returned texts; one that lands anywhere else becomes the nested lists
+    that ``json.loads`` would have built. When the skeleton is not UTF-8 or
+    not JSON, the file is decoded and parsed whole, so that the error is the
+    one that reading it in text mode raises.
+    """
+    skeleton, blocks = _skeleton(data)
+    markers = iter(blocks)
+
+    def constant(name: str) -> Any:  # each NaN is a cut block, in text order
+        return next(markers) if name == "NaN" else float(name)
+
+    if blocks:
+        try:
+            doc = json.loads(skeleton.decode(), parse_constant=constant)
+        except (ValueError, RecursionError):
+            blocks = []
+    if not blocks:
+        doc = _parse_json(data, path)
+    texts = {}
+    for name in _MIXTURES:
+        mixture = doc.get(name) if type(doc) is dict else None
+        if type(mixture) is dict:
+            for key, value in mixture.items():
+                if type(value) is _Block:
+                    mixture[key], texts[name, key] = value.array, value.text
+    if len(texts) < len(blocks):  # blocks elsewhere, or dropped with a duplicate key
+        doc = _expand(doc)
+    return doc, texts
+
+
+def _digest(doc: Any, texts: dict[tuple[str, str], bytes | memoryview]) -> str:
+    """SHA-256 of ``_canonical(doc)``, where ``doc[m][key]`` is encoded as ``texts[m, key]``.
 
     The hash is fed piece by piece. The instance layout is walked with
     sorted keys: the top-level object, then the mixture objects ``p`` and
-    ``q_dist``. Each of their values is hashed as the text that
-    :func:`_float_block` returns, or encoded whole when it returns None.
-    The returned document is ``doc`` with each float block replaced by its
-    array, in copies of the objects walked, so ``doc`` is left as it is.
+    ``q_dist``, whose values are hashed as their text in ``texts`` or
+    encoded whole.
     """
     sha = hashlib.sha256()
     if type(doc) is not dict:
         sha.update(_canonical(doc).encode())
-        return sha.hexdigest(), doc
-    out = {}
+        return sha.hexdigest()
     sha.update(b"{")
     for i, key in enumerate(sorted(doc)):
         value = doc[key]
         sha.update(f"{',' if i else ''}{_canonical(key)}:".encode())
         if key in _MIXTURES and type(value) is dict:
-            value = dict(value)
             sha.update(b"{")
             for j, sub in enumerate(sorted(value)):
-                value[sub], text = _float_block(value[sub]) or (value[sub], _canonical(value[sub]))
-                sha.update(f"{',' if j else ''}{_canonical(sub)}:{text}".encode())
+                sha.update(f"{',' if j else ''}{_canonical(sub)}:".encode())
+                sha.update(texts.get((key, sub)) or _canonical(value[sub]).encode())
             sha.update(b"}")
         else:
             sha.update(_canonical(value).encode())
-        out[key] = value
     sha.update(b"}")
-    return sha.hexdigest(), out
+    return sha.hexdigest()
 
 
 def _load_instance(path: str):
     """Read, digest and validate an instance with the cyclic collector paused.
 
-    The digest's walk converts each float block to its array, and
-    ``model.parse_instance`` validates those arrays, so each number is
-    converted once.
+    The float blocks are read from the file's bytes (see :func:`_read`):
+    each distinct row is parsed once, and ``model.parse_instance`` validates
+    the blocks' arrays. No nested lists are built for them, and the digest
+    hashes their canonical texts as they are.
 
     A JSON document holds no reference cycles, so reference counting frees
-    all of it. With the collector on, building the tree of a wide instance
-    (2.6 MB, 520k numbers) sets off three full collections that each rescan
-    the whole tree, about 0.1 s in all.
+    all of it; the collector would only rescan what the read builds.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:
-                raise ShapeMismatch(f"{path}: instance JSON is nested too deeply") from None
-            except ValueError as exc:
-                if isinstance(exc, _FILE_ERRORS):
-                    raise
-                # int() refuses a JSON integer of more than 4300 digits.
-                raise ShapeMismatch(f"{path}: {exc}") from None
-        digest, doc = _digest(doc)  # frees the nested lists that became arrays
+        with open(path, "rb") as fh:
+            data = fh.read()
+        doc, texts = _read(data, path)
+        del data
+        digest = _digest(doc, texts)
         p, q = model.parse_instance(doc)
-        del doc  # free the tree before the collector resumes
+        del doc  # free the document before the collector resumes
     finally:
         if enabled:
             gc.enable()
@@ -272,7 +418,7 @@ def _cmd_gen(args) -> tuple[str, dict, list[str], str]:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
-    return _digest(doc)[0], result, [], summary
+    return hashlib.sha256(_canonical(doc).encode()).hexdigest(), result, [], summary
 
 
 _COMMANDS: dict[str, Callable] = {

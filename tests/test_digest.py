@@ -1,13 +1,16 @@
 """The CLI's instance read against plain JSON and numpy.
 
 The digest must be the SHA-256 of ``json.dumps(doc, sort_keys=True,
-separators=(",", ":"))`` whatever the file's key order and whitespace, and
-the mixtures must be bit for bit those ``model.parse_instance`` builds from
-the nested lists.
+separators=(",", ":"))`` whatever the file's key order, whitespace and
+spelling of its floats, and the mixtures must be bit for bit those
+``model.parse_instance`` builds from the nested lists.
 """
 
 import hashlib
+import itertools
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +41,26 @@ FIXED_ROWS = {
     ],
 }
 UNIT = st.floats(0.0, 1.0)
-EXTRA = st.lists(st.one_of(st.integers(-3, 3), st.none(), st.floats(allow_nan=False)), max_size=4)
+# Strings that look like the blocks the reader cuts, or that end in an escape.
+STRINGS = ["[[[0.5,0.5]]]", "]]] [[[", 'a "quoted" [[[1.0', "back\\slash ]]]", "ends in \\", "NaN", '"']
+EXTRA = st.lists(
+    st.one_of(
+        st.integers(-3, 3),
+        st.none(),
+        st.floats(allow_nan=False),
+        st.sampled_from(STRINGS),
+    ),
+    max_size=4,
+)
+# Spellings that are not a float's canonical text but read back as the same float.
+RESPELLINGS = {
+    "0.5": ["0.50", "5e-1", "5E-1", "0.5e0"],
+    "1.0": ["1E0", "1.00", "10e-1", "1e+0"],
+    "0.0": ["0.00", "0e5", "0E-3"],
+    "-0.0": ["-0.00", "-0e0", "-0E+2"],
+    "0.25": ["2.5e-1", "0.250"],
+}
+LAYOUTS = [{}, {"indent": 0}, {"indent": 1}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")}]
 
 
 @st.composite
@@ -76,9 +98,26 @@ def shuffled(draw, obj: dict) -> dict:
     return dict(draw(st.permutations(list(obj.items()))))
 
 
+def respelled(obj, spell):
+    """``obj`` with each float that has other spellings as a placeholder string for one."""
+    if type(obj) is float and repr(obj) in RESPELLINGS:
+        return "\0" + spell(repr(obj))
+    if type(obj) is list:
+        return [respelled(value, spell) for value in obj]
+    if type(obj) is dict:
+        return {key: respelled(value, spell) for key, value in obj.items()}
+    return obj
+
+
 @st.composite
 def instance_files(draw):
-    """(document, its file text) for a valid instance, keys unsorted and any indent."""
+    """(document, its file text) for a valid instance.
+
+    Keys are unsorted; the layout is compact or indented; floats may be
+    spelled as they do not encode; strings hold brackets, quotes and
+    backslashes; extra keys hold NaN, Infinity and float blocks, at the top
+    level too; and the text may repeat a key, whose last value counts.
+    """
     q = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 8))
     doc = {"q": q, "n": n}
@@ -86,13 +125,24 @@ def instance_files(draw):
         k = draw(st.integers(1, 3))
         mix = {"weights": draw(weights(k)), "components": draw(blocks(k, n, q))}
         if draw(st.booleans()):
-            mix["extra"] = draw(st.one_of(EXTRA, blocks(1, 2, q)))
+            mix["extra"] = draw(st.one_of(EXTRA, blocks(1, 2, q), st.sampled_from(STRINGS)))
         doc[key] = shuffled(draw, mix)
     if draw(st.booleans()):
-        doc["meta"] = draw(EXTRA)
+        block = blocks(1, 2, q)
+        special = st.sampled_from([math.nan, math.inf, -math.inf])
+        doc["meta"] = draw(st.one_of(EXTRA, special, block, block.map(lambda b: {"deep": [b]})))
     doc = shuffled(draw, doc)
-    indent = draw(st.sampled_from([None, 0, 1, 2, "\t"]))
-    return doc, json.dumps(doc, indent=indent)
+    layout = draw(st.sampled_from(LAYOUTS))
+    written = doc
+    if draw(st.booleans()):
+        turn = itertools.count(draw(st.integers(0, 3)))
+        written = respelled(doc, lambda r: RESPELLINGS[r][next(turn) % len(RESPELLINGS[r])])
+    text = re.sub(r'"\\u0000([^"]*)"', r"\1", json.dumps(written, **layout))
+    if draw(st.booleans()):  # a key twice in a mixture, then a mixture twice
+        decoy = json.dumps({"components": [[[0.25, 0.75]]]}, **layout)[1:-1]
+        text = re.sub(r'("p":\s*\{)', lambda m: m[1] + decoy + ",", text, count=1)
+        text = text.replace("{", '{"q_dist": {"weights": [1.0], "components": [[[1.0, 0.0]]]},', 1)
+    return doc, text
 
 
 def assert_same_bits(got: mx.Mixture, ref: mx.Mixture) -> None:
@@ -105,7 +155,7 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("digest") / "instance.json"
 
 
-@settings(derandomize=True, database=None, deadline=None)
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(instance_files())
 def test_read_matches_json_and_parse_instance(doc_path, case):
     doc, text = case
@@ -133,9 +183,13 @@ def test_ragged_block_is_encoded_whole_and_rejected(doc_path, capsys, components
         "p": {"weights": [0.5, 0.5], "components": components},
         "q_dist": {"weights": [1.0], "components": [row]},
     }
-    doc_path.write_text(json.dumps(doc))
-    assert cli._float_block(components) is None
-    assert cli._digest(doc)[0] == canonical_digest(doc)
+    data = json.dumps(doc).encode()
+    doc_path.write_bytes(data)
+    ragged = json.dumps(components, separators=(",", ":")).encode()
+    assert cli._read_block(memoryview(ragged)) is None
+    skeleton, blocks = cli._skeleton(data)
+    assert ragged in skeleton and len(blocks) == 1  # only q_dist's block is cut
+    assert cli._digest(*cli._read(data, str(doc_path))) == canonical_digest(doc)
     with pytest.raises(mx.ShapeMismatch, match="could not coerce mixture arrays"):
         cli._load_instance(str(doc_path))
     assert cli.run(["exact-subcube", "--input", str(doc_path)]) == 3
@@ -143,3 +197,49 @@ def test_ragged_block_is_encoded_whole_and_rejected(doc_path, capsys, components
     assert out == ""
     assert json.loads(err)["error"] == "validation"
     assert "could not coerce mixture arrays" in json.loads(err)["detail"]
+
+
+# An instance whose p block is broken, and the detail that reading it must
+# report: json's own message at the position json.load gives in the file.
+BROKEN_HEAD = (
+    '{"q": 2, "n": 1, "q_dist": {"weights": [1.0], "components": [[[0.5, 0.5]]]}, '
+    '"p": {"weights": [1.0], "components": '
+)
+BROKEN = {
+    "double-comma": ("[[[0.5,,0.5]]]}}", "Expecting value: line 1 column 123 (char 122)"),
+    "space-between-numbers": ("[[[0.5 0.5]]]}}", "Expecting ',' delimiter: line 1 column 123 (char 122)"),
+    "number-gap": ("[[[1.0 5,0.5]]]}}", "Expecting ',' delimiter: line 1 column 123 (char 122)"),
+    "unterminated": ("[[[0.5,0.5]", "Expecting ',' delimiter: line 1 column 127 (char 126)"),
+    "double-comma-indented": ("[\n  [\n  [\n  0.5,\n  ,\n  0.5]]]}}", "Expecting value: line 5 column 3 (char 134)"),
+    "number-gap-indented": ("[\n  [\n  [\n  1.0 5,\n  0.5]]]}}", "Expecting ',' delimiter: line 4 column 7 (char 131)"),
+    "unterminated-indented": ("[\n  [\n  [\n  0.5,\n  0.5]", "Expecting ',' delimiter: line 5 column 7 (char 138)"),
+}
+
+
+@pytest.mark.parametrize("name", [*BROKEN, "long-integer"])
+def test_broken_block_reports_json_error(doc_path, capsys, name):
+    if name == "long-integer":  # 5,001 digits: int() refuses to convert it
+        digits = "1" + "0" * 5000
+        block = f"[[[{digits},0.5]]]}}}}"
+        with pytest.raises(ValueError) as refused:
+            int(digits)
+        detail = f"{doc_path}: {refused.value}"
+    else:
+        block, detail = BROKEN[name]
+    doc_path.write_text(BROKEN_HEAD + block)
+    assert cli.run(["exact-subcube", "--input", str(doc_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "validation", "detail": detail}
+
+
+def test_deep_nesting_tries_each_block_end_at_most_twice(monkeypatch):
+    # Every "[[[" before a "]]]" shares it, so the scan reads at most two spans
+    # per "]]]", not one per "[[[": nesting 5,000 deep costs two reads.
+    calls = []
+    read_block = cli._read_block
+    monkeypatch.setattr(cli, "_read_block", lambda span: calls.append(len(span)) or read_block(span))
+    skeleton, blocks = cli._skeleton(b"[" * 5000 + b"0.5" + b"]" * 5000)
+    assert skeleton == b"[" * 4997 + b"NaN" + b"]" * 4997
+    assert [b.array.tolist() for b in blocks] == [[[[0.5]]]]
+    assert len(calls) == 2
