@@ -14,6 +14,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -460,7 +461,15 @@ def run(argv: Sequence[str] | None = None) -> int:
         "result": result,
         "warnings": warnings,
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at devnull
+        # so that the flush at exit does not raise again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     print(summary, file=sys.stderr)
     return 0
 

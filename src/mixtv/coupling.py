@@ -350,22 +350,48 @@ def _merge_equal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep, (np.cumsum(keep) - 1)[rep]
 
 
+def _active_bounds(w: np.ndarray, marg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-value min and max of one side's marginals over its active components, ``(M, q)`` each.
+
+    ``w`` is the side's ``(M, k)`` weights and ``marg`` its ``(k, q)``
+    marginals at the coordinate.  One ``np.minimum`` and one ``np.maximum``
+    pass per component, in component order, each on ``(M, q)`` arrays; a
+    state with no active component gets ``inf`` and ``-inf``.
+    """
+    lo = np.full((w.shape[0], marg.shape[1]), np.inf)
+    hi = np.full_like(lo, -np.inf)
+    for s, row in enumerate(marg):
+        act = (w[:, s] > 0.0)[:, None]
+        np.minimum(lo, np.where(act, row, np.inf), out=lo)
+        np.maximum(hi, np.where(act, row, -np.inf), out=hi)
+    return lo, hi
+
+
 def _reweighted(
     w: np.ndarray, marg: np.ndarray, ell: np.ndarray, bar: np.ndarray, deg: np.ndarray
 ) -> np.ndarray:
-    """One side's reweighted weights per value, ``(M, k, q)``.
+    """One side's reweighted weights, ``w * (marg - ell) / (bar - ell)``.
 
-    ``w * (marg - ell) / (bar - ell)`` where the side is not degenerate and
-    the denominator is positive, and ``w`` unchanged elsewhere.
+    The quotient is taken where the side is not degenerate (``deg``) and
+    the denominator is positive, and ``w`` is kept elsewhere.  The
+    arguments broadcast to the result's shape: ``(M, k, q)`` for the
+    P-side table of every state and value, ``(T, k)`` for the Q side at
+    the ``T`` Type-II pairs that become children.
     """
     den = bar - ell
-    ok = (~deg & (den > 0.0))[:, None, :]
     # An inactive component may have a marginal below ell; clamping its
     # excess at +0.0 keeps its reweighted weight +0.0 instead of -0.0.
     # Active components have marginals at least ell, so theirs is exact.
-    num = w[:, :, None] * np.maximum(marg[None, :, :] - ell[:, None, :], 0.0)
-    quot = np.divide(num, den[:, None, :], out=np.zeros_like(num), where=ok)
-    return np.where(ok, quot, w[:, :, None])
+    num = np.maximum(marg - ell, 0.0)
+    num *= w
+    out = np.broadcast_to(w, num.shape).copy()  # w repeated over the values
+    return np.divide(num, den, out=out, where=~deg & (den > 0.0))
+
+
+def _upd_alpha_at(lay: _Layer, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``lay.upd_alpha[rows, :, c]``, read by flat index: ``(T, k1)``."""
+    _, k1, qq = lay.upd_alpha.shape
+    return lay.upd_alpha.take((rows * (k1 * qq) + c)[:, None] + np.arange(0, k1 * qq, qq))
 
 
 def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> CouplingDag:
@@ -382,6 +408,13 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     probability or sampled value.
     Weights are stored with canonical zeros (never ``-0.0``), so equal
     reweightings are byte-equal.
+
+    A stepped layer's work is on ``(M, q)`` arrays except for the stored
+    P-side table ``upd_alpha``: the per-value bounds over the active
+    components take one ``np.minimum``/``np.maximum`` pass per component,
+    in component order (:func:`_active_bounds`), and the Q side is
+    reweighted only at the Type-II pairs that become children, since no
+    other Q-side reweighting is read.
 
     A layer whose every state has a Type-I edge and none has a Type-II edge
     keeps every reweighting, so the next layer reuses its ``alpha`` and
@@ -438,12 +471,8 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         qj = q.components[:, depth, :]  # (k2, q)
         pbar = a @ pj  # (M, q)
         qbar = b @ qj
-        act_a = (a > 0.0)[:, :, None]
-        act_b = (b > 0.0)[:, :, None]
-        min_p = np.where(act_a, pj[None, :, :], np.inf).min(axis=1)
-        max_p = np.where(act_a, pj[None, :, :], -np.inf).max(axis=1)
-        min_q = np.where(act_b, qj[None, :, :], np.inf).min(axis=1)
-        max_q = np.where(act_b, qj[None, :, :], -np.inf).max(axis=1)
+        min_p, max_p = _active_bounds(a, pj)
+        min_q, max_q = _active_bounds(b, qj)
         ell = np.minimum(min_p, min_q)
 
         # Degeneracy is decided structurally (no active marginal above
@@ -459,8 +488,9 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         lay.res_p = np.maximum(pbar - qbar, 0.0)
         lay.res_q = np.maximum(qbar - pbar, 0.0)
 
-        lay.upd_alpha = _reweighted(a, pj, ell, pbar, deg_p)
-        upd_beta = _reweighted(b, qj, ell, qbar, deg_q)
+        lay.upd_alpha = _reweighted(
+            a[:, :, None], pj, ell[:, None, :], pbar[:, None, :], deg_p[:, None, :]
+        )
 
         has1 = lay.w1.sum(axis=1) > 0.0
         n1 = int(has1.sum())
@@ -480,9 +510,14 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
             children = [replace(lay) for _ in range(depth + 1, stop)] + [_Layer(alpha=a, beta=b)]
         else:
             # Children in creation order: Type-I children by parent, then
-            # Type-II children by (parent, value).
-            alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
-            beta = np.concatenate([b[has1], upd_beta[par2, :, c2]], axis=0)
+            # Type-II children by (parent, value).  Only the Type-II
+            # children read a Q-side reweighting.
+            upd_beta = _reweighted(
+                b[par2], qj[:, c2].T,
+                ell[par2, c2, None], qbar[par2, c2, None], deg_q[par2, c2, None],
+            )
+            alpha = np.concatenate([a[has1], _upd_alpha_at(lay, par2, c2)], axis=0)
+            beta = np.concatenate([b[has1], upd_beta], axis=0)
             keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
             lay.child1 = np.full(m_here, -1, dtype=np.int64)
             lay.child1[has1] = index[:n1]
@@ -595,7 +630,7 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
     cfgs = as_configurations(dag.mix_p, sigmas)
     n_cfg, n = cfgs.shape
     comp = dag.mix_p.components
-    k1 = comp.shape[0]
+    k1, qq = comp.shape[0], comp.shape[2]
     # tails[b, s]: mass that failed at an earlier layer with P-side component
     # s, times component s's probability of sigma_b's coordinates since then.
     tails = np.zeros((n_cfg, k1))
@@ -611,20 +646,24 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
                 idx, rows, reach = _masses_on_run(lay, comp, cfgs, tails, a, b, idx, rows, reach)
                 a = b
             continue
-        c = cfgs[idx, start]
+        cell = rows * qq + cfgs[idx, start]  # flat index of (row, sigma_j) in a (M, q) table
         tails *= comp[:, start, cfgs[:, start]].T
-        failed = reach * lay.res_p[rows, c]
-        upd = lay.upd_alpha[rows, :, c]
+        failed = lay.res_p.take(cell)
+        failed *= reach
+        cell_alpha = cell + rows * ((k1 - 1) * qq)  # flat index of (row, 0, sigma_j) in upd_alpha
         for s in range(k1):
-            tails[:, s] += np.bincount(idx, weights=failed * upd[:, s], minlength=n_cfg)
+            terms = lay.upd_alpha.take(cell_alpha)
+            terms *= failed
+            tails[:, s] += np.bincount(idx, weights=terms, minlength=n_cfg)
+            cell_alpha += qq
         if stop == n:  # nothing reads the triples of the terminal layer
             break
-        w1 = lay.w1[rows, c]
-        child2 = lay.child2[rows, c]
+        w1 = lay.w1.take(cell)
+        child2 = lay.child2.take(cell)
         go1, go2 = w1 > 0.0, child2 >= 0
         idx = np.concatenate([idx[go1], idx[go2]])
-        reach = np.concatenate([reach[go1] * w1[go1], reach[go2] * lay.w2[rows[go2], c[go2]]])
-        rows = np.concatenate([lay.child1[rows[go1]], child2[go2]])
+        reach = np.concatenate([reach[go1] * w1[go1], reach[go2] * lay.w2.take(cell[go2])])
+        rows = np.concatenate([lay.child1.take(rows[go1]), child2[go2]])
     total = tails[:, 0].copy()
     for s in range(1, k1):
         total += tails[:, s]
@@ -670,6 +709,7 @@ def _masses_on_run(
         terms *= failed
         added[:, :, s] = np.bincount(bins, weights=terms.ravel(), minlength=length * n_cfg).reshape(length, n_cfg)
         cell += qq
+    del cell, failed, bins, terms  # the step's (L, T) blocks, freed before the (L, B, k1) gather
     factors = comp.transpose(1, 2, 0)[np.arange(a, b)[:, None], cfgs[:, a:b].T]  # (L, B, k1)
     for i in range(length):
         tails *= factors[i]
@@ -773,12 +813,12 @@ def sample_failed_trajectories(
         out[walking, depth] = c
         fail = band == 2
         if fail.any():
-            weights = np.cumsum(lay.upd_alpha[rows[fail], :, c[fail]], axis=1)
+            weights = np.cumsum(_upd_alpha_at(lay, rows[fail], c[fail]), axis=1)
             failed = np.concatenate([failed, walking[fail]])
             component = np.concatenate([component, _pick_rows(u[walking[fail], depth + 1], weights)])
             stay = ~fail
             walking, rows, band, c = walking[stay], rows[stay], band[stay], c[stay]
-        rows = np.where(band == 0, lay.child1[rows], lay.child2[rows, c])
+        rows = np.where(band == 0, lay.child1.take(rows), lay.child2.take(rows * qq + c))
     if walking.size:
         raise FactViolation(f"{walking.size} of {count} draws never reached the failure sink")
     return out
@@ -816,7 +856,7 @@ def _walk_on_run(
         if hit.any():
             at = fail.argmax(axis=0)[hit]
             new, new_rows = walking[hit], rows[hit]
-            weights = np.cumsum(lay.upd_alpha[new_rows, :, c[at, hit]], axis=1)
+            weights = np.cumsum(_upd_alpha_at(lay, new_rows, c[at, hit]), axis=1)
             failed = np.concatenate([failed, new])
             component = np.concatenate([component, _pick_rows(u[new, a + at + 1], weights)])
             first = np.concatenate([first, at])

@@ -329,6 +329,21 @@ class TestReports:
         assert (proc.returncode, code) == (0, 0)
         assert proc.stdout == out
 
+    def test_reader_closing_the_pipe_early_exits_1_without_a_traceback(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mixtv", "coupling-stats",
+             "--input", "instances/smoke-subcube-deep-n120.json"],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # like `| head` exiting before the report is written
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
+
     def test_usage_error_detail_is_json(self, capsys):
         code, out, err = run_cli(capsys, ["frobnicate"])
         assert code == 2

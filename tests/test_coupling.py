@@ -635,15 +635,91 @@ PINNED_RUN_ESTIMATES = {
 }
 
 
+def assert_same_bits(got, want):
+    """Equal bit for bit: ``assert_array_equal`` alone takes ``-0.0 == 0.0``."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got, dtype=np.float64).view(np.uint64),
+        np.ascontiguousarray(want, dtype=np.float64).view(np.uint64),
+    )
+
+
+def plain_reweighted(w, marg, ell, bar, deg):
+    """One side's reweighted weights per state, component and value, ``(M, k, q)``,
+    written out over the whole table."""
+    den = bar - ell
+    ok = (~deg & (den > 0.0))[:, None, :]
+    num = w[:, :, None] * np.maximum(marg[None, :, :] - ell[:, None, :], 0.0)
+    quot = np.divide(num, den[:, None, :], out=np.zeros_like(num), where=ok)
+    return np.where(ok, quot, w[:, :, None])
+
+
 def assert_tables_fit_their_layer(p, q, dag):
-    """Each layer's Type-I weights and P-side residuals are those of its own
-    states at its own coordinate, whatever tables the layer shares."""
-    for j, lay in enumerate(dag._layers[:-1]):
+    """Each layer's tables are, bit for bit, the plain ``(M, k, q)`` formulas
+    on its own states at its own coordinate, whatever tables the layer
+    shares, and each edge of a stepped layer leads to a child row that is
+    its reweighting bit for bit."""
+    for j, (lay, child) in enumerate(zip(dag._layers[:-1], dag._layers[1:])):
+        a, b = lay.alpha, lay.beta
         pj, qj = p.components[:, j], q.components[:, j]
-        min_p = np.where(lay.alpha[:, :, None] > 0.0, pj, np.inf).min(axis=1)
-        min_q = np.where(lay.beta[:, :, None] > 0.0, qj, np.inf).min(axis=1)
-        np.testing.assert_array_equal(lay.w1, np.minimum(min_p, min_q))
-        np.testing.assert_array_equal(lay.res_p, np.maximum(lay.alpha @ pj - lay.beta @ qj, 0.0))
+        act_a, act_b = (a > 0.0)[:, :, None], (b > 0.0)[:, :, None]
+        min_p = np.where(act_a, pj, np.inf).min(axis=1)
+        max_p = np.where(act_a, pj, -np.inf).max(axis=1)
+        min_q = np.where(act_b, qj, np.inf).min(axis=1)
+        max_q = np.where(act_b, qj, -np.inf).max(axis=1)
+        ell = np.minimum(min_p, min_q)
+        pbar, qbar = a @ pj, b @ qj
+        deg_p, deg_q = ~(max_p > ell), ~(max_q > ell)
+        w2_raw = np.minimum(pbar, qbar) - ell
+        t2 = (w2_raw > 0.0) & ~deg_p & ~deg_q
+        assert_same_bits(lay.w1, ell)
+        assert_same_bits(lay.w2, np.where(t2, w2_raw, 0.0))
+        assert_same_bits(lay.res_p, np.maximum(pbar - qbar, 0.0))
+        assert_same_bits(lay.res_q, np.maximum(qbar - pbar, 0.0))
+        upd_alpha = plain_reweighted(a, pj, ell, pbar, deg_p)
+        assert_same_bits(lay.upd_alpha, upd_alpha)
+        if child.alpha is a:  # carried over: the states pass on as they are
+            continue
+        upd_beta = plain_reweighted(b, qj, ell, qbar, deg_q)
+        has1 = lay.w1.sum(axis=1) > 0.0
+        assert_same_bits(child.alpha[lay.child1[has1]], a[has1])
+        assert_same_bits(child.beta[lay.child1[has1]], b[has1])
+        par2, c2 = np.nonzero(t2)
+        assert (lay.child2 >= 0).sum() == par2.size
+        assert_same_bits(child.alpha[lay.child2[par2, c2]], upd_alpha[par2, :, c2])
+        assert_same_bits(child.beta[lay.child2[par2, c2]], upd_beta[par2, :, c2])
+
+
+def signed_zero_pair():
+    """A 3+3, q = 3 perturbed pair in which value 0 has probability zero at
+    every other coordinate, spelled ``-0.0`` in some components and ``+0.0``
+    in others.  Built without ``validate_mixture``, which would turn each
+    ``-0.0`` into ``+0.0``."""
+    p, q = benchmark_workloads().perturbed_pair(np.random.default_rng(3), 6, 3, 3)
+
+    def zeroed(m, negative):
+        comp = m.components.copy()
+        comp[:, ::2, 0] = 0.0
+        comp[:, ::2] /= comp[:, ::2].sum(axis=2, keepdims=True)
+        comp[negative, ::2, 0] = -0.0
+        return mx.Mixture(q=m.q, n=m.n, weights=m.weights, components=comp)
+
+    return zeroed(p, [0, 2]), zeroed(q, [1])
+
+
+class TestTableBits:
+    def test_tables_of_a_wide_pair_are_the_plain_formulas(self):
+        p, q = benchmark_workloads().perturbed_pair(np.random.default_rng(0), 7, 4, 3)
+        dag = mx.build_dag(p, q)
+        assert max(dag.layer_sizes) >= 5000
+        assert_tables_fit_their_layer(p, q, dag)
+
+    def test_tables_with_signed_zero_marginals_are_the_plain_formulas(self):
+        p, q = signed_zero_pair()
+        assert np.signbit(p.components).any() and np.signbit(q.components).any()
+        dag = mx.build_dag(p, q)
+        assert any(lay.size > 1 for lay in dag._layers)
+        assert_tables_fit_their_layer(p, q, dag)
 
 
 class TestCarryOver:
@@ -763,6 +839,23 @@ class TestCarryOver:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+        assert masses.tobytes() == per_layer_failure_masses(dag, sigmas).tobytes()
+
+    def test_failure_masses_free_a_run_steps_blocks_before_the_factor_gather(self):
+        # 256 draws carry about 56,500 triples into the 100-layer run, which
+        # is then stepped one layer per chunk.  Measured peaks: 8.1 MB while
+        # a step's (L, T) blocks lived on through its (L, B, k1) gather,
+        # 6.4 MB with them freed first.
+        p, q = padded_pair(9, 100)
+        dag = mx.build_dag(p, q)
+        sigmas = mx.sample_failed_trajectories(dag, np.random.default_rng(0), 256)
+        tracemalloc.start()
+        try:
+            masses = mx.failure_masses(dag, sigmas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7_000_000
         assert masses.tobytes() == per_layer_failure_masses(dag, sigmas).tobytes()
 
 
