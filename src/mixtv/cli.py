@@ -1,7 +1,9 @@
 """Command-line interface: one JSON report per invocation on stdout.
 
 Pipelines consume stdout, which is deterministic for a fixed seed and
-input; the human-readable summary (including timings) goes to stderr.
+input; the human-readable summary (including timings) and the JSON error
+detail go to stderr. Stderr carries diagnostics only and is best-effort: a
+closed or unwritable stderr changes neither stdout nor the exit code.
 Exit codes: 0 success, 2 usage error, and otherwise the class of the error
 (see mixtv.errors): 3 ValidationError or a named file that cannot be
 opened, decoded or parsed, 4 TooLarge, 5 NumericalError.
@@ -268,29 +270,19 @@ def _digest(doc: Any, texts: dict[tuple[str, str], bytes | memoryview]) -> str:
 
 
 def _load_instance(path: str):
-    """Read, digest and validate an instance with the cyclic collector paused.
+    """Read, digest and validate an instance.
 
     The float blocks are read from the file's bytes (see :func:`_read`):
     each distinct row is parsed once, and ``model.parse_instance`` validates
     the blocks' arrays. No nested lists are built for them, and the digest
     hashes their canonical texts as they are.
-
-    A JSON document holds no reference cycles, so reference counting frees
-    all of it; the collector would only rescan what the read builds.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        doc, texts = _read(data, path)
-        del data
-        digest = _digest(doc, texts)
-        p, q = model.parse_instance(doc)
-        del doc  # free the document before the collector resumes
-    finally:
-        if enabled:
-            gc.enable()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc, texts = _read(data, path)
+    del data
+    digest = _digest(doc, texts)
+    p, q = model.parse_instance(doc)
     return p, q, digest
 
 
@@ -431,8 +423,25 @@ _COMMANDS: dict[str, Callable] = {
 }
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, so that its flush at exit succeeds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _diagnose(line: str) -> None:
+    """Print ``line`` on stderr if stderr takes it; stdout and the exit code never depend on it."""
+    if sys.stderr is None:  # fd 2 was closed when Python started; print would fall back to stdout
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:  # a full device, a bad descriptor, or a reader that closed the pipe
+        _to_devnull(sys.stderr)
+
+
 def _emit_error(category: str, detail: str) -> None:
-    print(json.dumps({"error": category, "detail": detail}), file=sys.stderr)
+    _diagnose(json.dumps({"error": category, "detail": detail}))
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -465,16 +474,23 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(json.dumps(report, sort_keys=True, indent=2))
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed the pipe (``| head``).  Point stdout at devnull
-        # so that the flush at exit does not raise again, and exit 1.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # The reader closed the pipe (``| head``): the report is cut short, so exit 1.
+        _to_devnull(sys.stdout)
         return 1
-    print(summary, file=sys.stderr)
+    _diagnose(summary)
     return 0
 
 
 def main() -> None:
+    """The console script: :func:`run` on ``sys.argv`` in a process of its own.
+
+    The objects that the imports built live until the process exits, so
+    they are moved to the collector's permanent generation: neither a
+    collection during the query nor the full collections that Python runs
+    at exit scan them again. :func:`run` leaves the collector alone, for
+    in-process callers.
+    """
+    gc.freeze()
     sys.exit(run())
 
 

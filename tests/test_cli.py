@@ -13,6 +13,11 @@ from mixtv import cli
 from conftest import mixture, uniform_bits
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# The environment of a child that imports mixtv from this checkout.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
 def run_cli(capsys, args):
     code = cli.run(args)
     captured = capsys.readouterr()
@@ -313,29 +318,61 @@ class TestReports:
             assert out == ""
             assert json.loads(err)["error"] == "validation"
 
-    def test_python_dash_m_prints_the_same_report(self, capsys, monkeypatch):
-        root = Path(__file__).resolve().parents[1]
-        args = ["exact-subcube", "--input", "instances/smoke-subcube-n4.json"]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["exact-subcube", "--input", "instances/smoke-subcube-n4.json"],
+            ["approx", "--input", "instances/smoke-general-n3q3.json", "--epsilon", "0.2",
+             "--samples", "300", "--seed", "7"],
+            ["coupling-stats", "--input", "instances/smoke-subcube-deep-n120.json"],
+        ],
+        ids=["exact-subcube", "approx", "coupling-stats"],
+    )
+    def test_python_dash_m_prints_the_same_report(self, capsys, monkeypatch, args):
         proc = subprocess.run(
             [sys.executable, "-m", "mixtv", *args],
-            cwd=root,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            cwd=ROOT,
+            env=SRC_ENV,
             capture_output=True,
             text=True,
             timeout=60,
         )
-        monkeypatch.chdir(root)
+        monkeypatch.chdir(ROOT)
         code, out, _ = run_cli(capsys, args)
         assert (proc.returncode, code) == (0, 0)
         assert proc.stdout == out
 
+    def test_console_script_runs_with_the_import_heap_frozen(self):
+        # main() freezes what the imports built before it calls run().
+        script = (
+            "import gc, sys\n"
+            "from mixtv import cli\n"
+            "real_run = cli.run\n"
+            "def run():\n"
+            "    print(gc.get_freeze_count(), file=sys.stderr)\n"
+            "    return real_run()\n"
+            "cli.run = run\n"
+            "cli.main()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "exact-subcube",
+             "--input", "instances/smoke-subcube-n4.json"],
+            cwd=ROOT,
+            env=SRC_ENV,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr.splitlines()[0]) > 0
+        assert json.loads(proc.stdout)["result"]["k1"] == 2
+
     def test_reader_closing_the_pipe_early_exits_1_without_a_traceback(self):
-        root = Path(__file__).resolve().parents[1]
         proc = subprocess.Popen(
             [sys.executable, "-m", "mixtv", "coupling-stats",
              "--input", "instances/smoke-subcube-deep-n120.json"],
-            cwd=root,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            cwd=ROOT,
+            env=SRC_ENV,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -343,6 +380,35 @@ class TestReports:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+    @pytest.mark.parametrize("stderr", ["closed-pipe", "closed-fd", "full-device"])
+    @pytest.mark.parametrize(
+        "args, code_expected",
+        [
+            (["exact-subcube", "--input", "instances/smoke-subcube-n4.json"], 0),
+            (["exact-subcube", "--input", "instances/missing.json"], 3),
+            (["frobnicate"], 2),
+        ],
+        ids=["report", "missing-file", "usage"],
+    )
+    def test_unwritable_stderr_changes_neither_stdout_nor_the_exit_code(
+        self, capsys, monkeypatch, args, code_expected, stderr
+    ):
+        command = [sys.executable, "-m", "mixtv", *args]
+        if stderr == "closed-fd":  # the shell's 2>&-: Python starts with sys.stderr None
+            command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+        with open("/dev/full", "wb") as full:
+            sink = {"closed-pipe": subprocess.PIPE, "closed-fd": None, "full-device": full}
+            proc = subprocess.Popen(
+                command, cwd=ROOT, env=SRC_ENV, stdout=subprocess.PIPE, stderr=sink[stderr]
+            )
+        if stderr == "closed-pipe":
+            proc.stderr.close()  # the reader of stderr is gone before the child writes
+        out, _ = proc.communicate(timeout=60)
+        monkeypatch.chdir(ROOT)
+        code, want, _ = run_cli(capsys, args)
+        assert (proc.returncode, code) == (code_expected, code_expected)
+        assert out.decode() == want
 
     def test_usage_error_detail_is_json(self, capsys):
         code, out, err = run_cli(capsys, ["frobnicate"])
@@ -383,7 +449,7 @@ class TestReports:
     )
     def test_digest_is_pinned(self, capsys, monkeypatch, args, digest):
         # SHA-256 of the canonical encoding; a change to the encoding shows here.
-        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        monkeypatch.chdir(ROOT)
         code, out, _ = run_cli(capsys, args)
         assert code == 0
         assert json.loads(out)["digest"] == digest
@@ -451,8 +517,8 @@ class TestReports:
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_collector_state_is_restored(self, capsys, tmp_path, small_instance, enabled):
-        # The instance is read with the cyclic collector paused; every exit
-        # path must leave it as it found it.
+        # In process, run() leaves the collector as it found it on every exit
+        # path: enabled or not, and nothing frozen (only main() freezes).
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         invalid = tmp_path / "invalid.json"
@@ -464,11 +530,13 @@ class TestReports:
             (str(tmp_path / "missing.json"), 3),
         ]
         was_enabled = gc.isenabled()
+        frozen = gc.get_freeze_count()
         try:
             for path, code_expected in cases:
                 (gc.enable if enabled else gc.disable)()
                 code, _, _ = run_cli(capsys, ["brute", "--input", path])
                 assert (code, gc.isenabled()) == (code_expected, enabled), path
+                assert gc.get_freeze_count() == frozen, path
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
@@ -490,7 +558,7 @@ class TestErrorCategories:
         }
         classes = set(self.error_classes())
         assert set(categories) <= classes
-        path = str(Path(__file__).resolve().parents[1] / "instances/smoke-subcube-n4.json")
+        path = str(ROOT / "instances/smoke-subcube-n4.json")
         for cls in classes:
             owners = [v for base, v in categories.items() if issubclass(cls, base)]
             assert len(owners) == 1, cls.__name__
