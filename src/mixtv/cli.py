@@ -4,7 +4,8 @@ Pipelines consume stdout, which is deterministic for a fixed seed and
 input; the human-readable summary (including timings) and the JSON error
 detail go to stderr. Stderr carries diagnostics only and is best-effort: a
 closed or unwritable stderr changes neither stdout nor the exit code.
-Exit codes: 0 success, 2 usage error, and otherwise the class of the error
+Exit codes: 0 success, 1 a stdout that is closed or cannot take the report,
+2 usage error, and otherwise the class of the error
 (see mixtv.errors): 3 ValidationError or a named file that cannot be
 opened, decoded or parsed, 4 TooLarge, 5 NumericalError.
 """
@@ -470,11 +471,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         "result": result,
         "warnings": warnings,
     }
+    if sys.stdout is None:  # fd 1 was closed when Python started: the report goes nowhere
+        return 1
     try:
         print(json.dumps(report, sort_keys=True, indent=2))
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe (``| head``): the report is cut short, so exit 1.
+    except OSError:
+        # A reader that closed the pipe (``| head``) or a full device: the
+        # report is cut short, so exit 1.
         _to_devnull(sys.stdout)
         return 1
     _diagnose(summary)

@@ -10,12 +10,17 @@ failed trajectories of a block with one batched walk
 (:func:`~mixtv.coupling.sample_failed_trajectories`), evaluate the integrand
 on the whole block with one batched call (:func:`f_values`), and add the
 values to the running sum in draw order.
+
+Every query first reduces the instance to its core (:func:`presolve`),
+which drops the coordinates that factor out of both mixtures and cancels
+the weight of the components that both hold. Both steps are exact; the
+DAG, the sample count and the draws then work on fewer coordinates and
+components.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +36,7 @@ from .coupling import (
     sample_failed_trajectories,
 )
 from .errors import FactViolation, ShapeMismatch, TooLarge, ZeroDenominator
-from .model import Mixture, as_configurations, masses
+from .model import Mixture, as_configurations, check_same_domain, masses
 
 # The one-row forms of what the block loop computes.  The estimator does not
 # call them, but they stay bound here: perfbench/tracing.py wraps them on
@@ -137,6 +142,93 @@ def f_value(p: Mixture, q: Mixture, dag: CouplingDag, omega: Sequence[int]) -> f
     return float(f_values(p, q, dag, [omega])[0])
 
 
+def presolve(p: Mixture, q: Mixture) -> tuple[Mixture, Mixture, float] | None:
+    """The core instance of ``(p, q)`` and the weight ``c`` cancelled from each side.
+
+    Two exact reductions, both on byte-equal rows (the float64 bits, so
+    ``-0.0`` and ``0.0`` differ):
+
+    * Components: byte-equal components of one side merge, their weights
+      added in component order, at the place of the first. A component
+      that both sides hold, with positive weights ``a`` and ``b``, loses
+      ``min(a, b)`` on each side. ``c`` is the sum of those minima; if it
+      is positive, the components left with weight 0 are dropped and each
+      side's remaining weights are divided by their sum.
+      ``TV(p, q) = (1 - c) * TV(core)``.
+    * Coordinates: a coordinate where every remaining component of both
+      sides has the same row ``r`` factors out, ``P = P' x r`` and
+      ``Q = Q' x r``, so it is dropped and the distance does not change.
+
+    Returns None when a side has no weight left, i.e. when the distance is
+    0. When nothing is removed, ``p`` and ``q`` themselves come back with
+    ``c = 0.0``.
+    """
+    check_same_domain(p, q)
+    sides = []
+    for m in (p, q):
+        groups: dict[bytes, list] = {}  # component bytes -> [first index, weight]
+        for s in range(m.k):
+            group = groups.setdefault(m.components[s].tobytes(), [s, 0.0])
+            group[1] += float(m.weights[s])
+        sides.append(groups)
+    cancelled = 0.0
+    for key, a in sides[0].items():  # in P's component order: c is summed reproducibly
+        b = sides[1].get(key)
+        if b is not None and (shared := min(a[1], b[1])) > 0.0:
+            cancelled += shared
+            a[1] -= shared
+            b[1] -= shared
+    kept = [[g for g in groups.values() if g[1] > 0.0 or not cancelled] for groups in sides]
+    weights = [np.array([g[1] for g in groups]) for groups in kept]
+    if not (weights[0].sum() > 0.0 and weights[1].sum() > 0.0 and cancelled < 1.0):
+        return None
+    rows = [np.array([g[0] for g in groups], dtype=np.intp) for groups in kept]
+    # Without cancellation a side with as many groups as components merged none.
+    unchanged = [not cancelled and len(r) == m.k for m, r in zip((p, q), rows)]
+    ref = p.components[rows[0][0]].view(np.uint64)
+    differ = np.zeros(p.n, dtype=bool)
+    for m, r in zip((p, q), rows):
+        for s in r:
+            differ |= (m.components[s].view(np.uint64) != ref).any(axis=1)
+    if differ.all() and all(unchanged):
+        return p, q, 0.0
+    keep = np.flatnonzero(differ)
+    core = []
+    for m, r, w, same in zip((p, q), rows, weights, unchanged):
+        if same:
+            w = m.weights
+        elif cancelled:
+            w = w / w.sum()
+        components = m.components[np.ix_(r, keep)]
+        components.flags.writeable = False
+        w.flags.writeable = False
+        core.append(Mixture(q=m.q, n=len(keep), weights=w, components=components))
+    return core[0], core[1], cancelled
+
+
+def _mean_f(p: Mixture, q: Mixture, dag: CouplingDag, config: EstimatorConfig, draws: int) -> float:
+    """The median over ``config.repetitions`` of the mean integrand over ``draws`` failed walks of ``dag``.
+
+    Repetition ``rep`` draws from a stream derived from ``(config.seed,
+    rep)`` and sums its integrand values in draw order, in blocks of
+    :data:`BLOCK` draws.
+    """
+    fbars = []
+    for rep in range(config.repetitions):
+        # The trailing 0 of the spawn key is part of the stream: removing it
+        # would change every estimate.
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, 0)))
+        acc = 0.0
+        for start in range(0, draws, BLOCK):
+            omegas = sample_failed_trajectories(dag, rng, min(BLOCK, draws - start))
+            for value in f_values(p, q, dag, omegas).tolist():
+                acc += value
+        fbars.append(acc / draws)
+    fbars.sort()
+    mid = len(fbars) // 2  # statistics.median's formula, without importing it
+    return fbars[mid] if len(fbars) % 2 else (fbars[mid - 1] + fbars[mid]) / 2
+
+
 def approximate_tv(
     p: Mixture,
     q: Mixture,
@@ -145,38 +237,37 @@ def approximate_tv(
 ) -> TvEstimate:
     """Estimate the total variation distance within a ``(1 +/- epsilon)`` factor.
 
-    Builds the coupling DAG, reads off the discrepancy, and averages the
-    integrand over conditioned samples.  A zero discrepancy proves the
-    distance is zero, so the estimate 0 is returned without sampling.
-    Results are bit-identical given (seed, repetitions): repetition ``rep``
-    draws from a stream derived from ``(seed, rep)`` and sums its integrand
-    values in draw order, in blocks of :data:`BLOCK` draws.
+    Reduces the instance to its core (:func:`presolve`), builds the core's
+    coupling DAG (``max_states`` bounds its states), reads off the
+    discrepancy, and averages the integrand over conditioned samples. The
+    core's n, k1 and k2 set ``gamma`` and the theoretical sample count.
+    The reported discrepancy is ``(1 - c)`` times the core's, with ``c``
+    the cancelled weight: the failure probability of a coupling of ``p``
+    and ``q`` that first couples the shared weight identically. ``fbar`` is
+    the core's mean integrand, and ``estimate`` is ``fbar * discrepancy``.
+    A zero discrepancy proves the distance is zero, so the estimate 0 is
+    returned without sampling; so is a core where everything cancels,
+    reported with the ``gamma`` of the instance as given. Results are
+    bit-identical given (seed, repetitions), see :func:`_mean_f`.
     """
     t0 = time.perf_counter()
-    dag = build_dag(p, q, max_states=max_states)
-    discrepancy = failure_probability(dag)
-    gamma = theoretical_gamma(p.n, p.q, p.k, q.k)
-    fbar, draws = 0.0, 0
-    if discrepancy != 0.0:
-        draws = (
-            config.samples_override
-            if config.samples_override is not None
-            else sample_count(gamma, config.epsilon)
-        )
-        fbars = []
-        for rep in range(config.repetitions):
-            # The trailing 0 of the spawn key is part of the stream: removing it
-            # would change every estimate.
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, 0))
+    if max_states is not None and max_states < 1:  # rejected even when no DAG is built
+        raise ShapeMismatch(f"max_states must be at least 1, got {max_states}")
+    core = presolve(p, q)
+    gamma, fbar, discrepancy, draws = theoretical_gamma(p.n, p.q, p.k, q.k), 0.0, 0.0, 0
+    if core is not None:
+        p, q, cancelled = core
+        dag = build_dag(p, q, max_states=max_states)
+        discrepancy = failure_probability(dag)
+        gamma = theoretical_gamma(p.n, p.q, p.k, q.k)
+        if discrepancy != 0.0:
+            draws = (
+                config.samples_override
+                if config.samples_override is not None
+                else sample_count(gamma, config.epsilon)
             )
-            acc = 0.0
-            for start in range(0, draws, BLOCK):
-                omegas = sample_failed_trajectories(dag, rng, min(BLOCK, draws - start))
-                for value in f_values(p, q, dag, omegas).tolist():
-                    acc += value
-            fbars.append(acc / draws)
-        fbar = statistics.median(fbars)
+            fbar = _mean_f(p, q, dag, config, draws)
+        discrepancy *= 1.0 - cancelled
     return TvEstimate(
         estimate=fbar * discrepancy,
         discrepancy=discrepancy,

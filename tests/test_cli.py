@@ -10,7 +10,7 @@ import pytest
 
 import mixtv as mx
 from mixtv import cli
-from conftest import mixture, uniform_bits
+from conftest import uniform_bits, weight_shifted_pair
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,11 +84,10 @@ class TestApprox:
         assert json.loads(out)["result"]["samples"] == 1
 
     def test_zero_denominator_is_numerical_error(self, capsys, tmp_path):
-        # 2^-1200 underflows, so every sampled sigma has zero failure mass.
-        n = 1200
-        p = uniform_bits(n)
-        q = mixture([1.0], [[[1.0, 0.0]] + [[0.5, 0.5]] * (n - 1)])
-        path = write_instance(tmp_path / "underflow.json", p, q)
+        # No coordinate agrees, so the core keeps all 2500; each cube is free
+        # at about 1667 of them, and 2^-1667 underflows: every sampled sigma
+        # has zero failure mass.
+        path = write_instance(tmp_path / "underflow.json", *weight_shifted_pair(2500))
         code, out, err = run_cli(
             capsys, ["approx", "--input", path, "--epsilon", "0.5", "--samples", "5"]
         )
@@ -96,7 +95,7 @@ class TestApprox:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "numerical"
-        assert "n=1200" in error["detail"]
+        assert "n=2500" in error["detail"]
         assert len(error["detail"]) < 200
 
     def test_fact_violation_is_numerical_error(self, capsys, monkeypatch, small_instance):
@@ -380,6 +379,24 @@ class TestReports:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+    @pytest.mark.parametrize("stdout", ["closed-fd", "full-device"])
+    def test_unwritable_stdout_exits_1_without_a_traceback(self, stdout):
+        command = [sys.executable, "-m", "mixtv", "exact-subcube",
+                   "--input", "instances/smoke-subcube-n4.json"]
+        if stdout == "closed-fd":  # the shell's >&-: Python starts with sys.stdout None
+            command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                command,
+                cwd=ROOT,
+                env=SRC_ENV,
+                stdout=None if stdout == "closed-fd" else full,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     @pytest.mark.parametrize("stderr", ["closed-pipe", "closed-fd", "full-device"])
     @pytest.mark.parametrize(

@@ -1,8 +1,5 @@
-import functools
 import hashlib
-import importlib.util
 import json
-import sys
 import tracemalloc
 from collections import Counter, defaultdict
 from itertools import product
@@ -13,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixtv as mx
-from mixtv import coupling
-from conftest import lex_configs, mixture, point_mass, uniform_bits
+from mixtv import coupling, estimator
+from conftest import benchmark_workloads, lex_configs, mixture, point_mass, uniform_bits
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 # Doubles at the edges of [0, 1] and at ties of the cumulative rows below.
 EDGE_DOUBLES = (0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0)
 
@@ -84,16 +80,6 @@ def per_layer_failure_masses(dag, sigmas):
     for s in range(1, comp.shape[0]):
         total += tails[:, s]
     return total
-
-
-@functools.cache
-def benchmark_workloads():
-    """perfbench/workloads.py, whose generators build the benchmark's pairs."""
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def padded_pair(core_n, shared):
@@ -545,11 +531,30 @@ class TestDagInvariants:
         assert d1.pfail_map() == d2.pfail_map()
 
 
-def estimate_hex(name, seed):
-    """float.hex of (estimate, discrepancy) of approximate_tv with 2000 samples."""
-    p, q = mx.parse_instance(json.loads((INSTANCES / name).read_text()))
-    est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=2000))
+def full_dag_hex(p, q, seed, draws):
+    """float.hex of (estimate, discrepancy) of the estimator's sampling loop
+    run on ``build_dag(p, q)``: the DAG of the instance as given, not of the
+    core that approximate_tv reduces it to."""
+    dag = mx.build_dag(p, q)
+    discrepancy = mx.failure_probability(dag)
+    config = mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=draws)
+    fbar = estimator._mean_f(p, q, dag, config, draws)
+    return (fbar * discrepancy).hex(), discrepancy.hex()
+
+
+def approx_hex(p, q, seed, draws):
+    """float.hex of (estimate, discrepancy) of approximate_tv."""
+    est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=draws))
     return est.estimate.hex(), est.discrepancy.hex()
+
+
+def read_instance(name):
+    return mx.parse_instance(json.loads((INSTANCES / name).read_text()))
+
+
+def estimate_hex(name, seed):
+    """:func:`full_dag_hex` of an ``instances/`` file with 2000 samples."""
+    return full_dag_hex(*read_instance(name), seed, 2000)
 
 
 # estimate_hex values recorded before states with byte-equal reweightings
@@ -601,6 +606,9 @@ class TestStateMerge:
     @pytest.mark.parametrize("name,seed", sorted(PINNED_ESTIMATES))
     def test_estimates_are_bit_identical_to_the_unmerged_tree(self, name, seed):
         assert estimate_hex(name, seed) == PINNED_ESTIMATES[name, seed]
+        # These instances have no agreeing coordinate and no shared
+        # component: approximate_tv runs on them as given.
+        assert approx_hex(*read_instance(name), seed, 2000) == PINNED_ESTIMATES[name, seed]
 
     def test_max_states_counts_merged_states(self):
         p, q = windowed_pair(0, n=30)
@@ -626,13 +634,34 @@ PINNED_DEEP_ESTIMATES = {
 }
 
 
-# estimate_hex-style values of windowed_subcube_pair(default_rng(1), 400,
+# full_dag_hex values of windowed_subcube_pair(default_rng(1), 400,
 # window=400, k1=3, k2=3) at seed 0, by draw count, recorded while every
 # query still took one round of array calls per layer.
 PINNED_RUN_ESTIMATES = {
     100: ("0x1.77cf06ada2810p-1", "0x1.f7fffffffffffp-1"),
     2000: ("0x1.6b51798b5a606p-1", "0x1.f7fffffffffffp-1"),
 }
+
+
+# approx_hex values of the same instances, on their cores (the 120-coordinate
+# pair keeps 16 coordinates, the 400-coordinate pair 18), recorded when
+# approximate_tv started to presolve.
+PINNED_CORE_DEEP_ESTIMATES = {
+    ("smoke-subcube-deep-n120.json", 0): ("0x1.44f10c77ee241p-1", "0x1.e8b71c71c71c7p-1"),
+    ("smoke-subcube-deep-n120.json", 1): ("0x1.3503da23ecf82p-1", "0x1.e8b71c71c71c7p-1"),
+    ("smoke-subcube-deep-n120.json", 2): ("0x1.4047871debcacp-1", "0x1.e8b71c71c71c7p-1"),
+}
+PINNED_CORE_RUN_ESTIMATES = {
+    100: ("0x1.652ebf7187ca8p-1", "0x1.f7fffffffffffp-1"),
+    2000: ("0x1.6526554dbc257p-1", "0x1.f7fffffffffffp-1"),
+}
+
+
+def deep_benchmark_pair():
+    """The approx-deep shape: windowed 3+3 at n = 400, seed 1."""
+    return benchmark_workloads().windowed_subcube_pair(
+        np.random.default_rng(1), 400, window=400, k1=3, k2=3
+    )
 
 
 def assert_same_bits(got, want):
@@ -817,12 +846,16 @@ class TestCarryOver:
     @pytest.mark.parametrize("draws", sorted(PINNED_RUN_ESTIMATES))
     def test_estimates_are_bit_identical_to_the_per_layer_walk(self, draws):
         # 382 of the 400 layers of this pair are carried, in runs of up to 33.
-        p, q = benchmark_workloads().windowed_subcube_pair(
-            np.random.default_rng(1), 400, window=400, k1=3, k2=3
-        )
-        config = mx.EstimatorConfig(epsilon=0.1, seed=0, samples_override=draws)
-        est = mx.approximate_tv(p, q, config)
-        assert (est.estimate.hex(), est.discrepancy.hex()) == PINNED_RUN_ESTIMATES[draws]
+        assert full_dag_hex(*deep_benchmark_pair(), 0, draws) == PINNED_RUN_ESTIMATES[draws]
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_CORE_DEEP_ESTIMATES))
+    def test_core_estimates_of_the_deep_instance_are_pinned(self, name, seed):
+        got = approx_hex(*read_instance(name), seed, 2000)
+        assert got == PINNED_CORE_DEEP_ESTIMATES[name, seed]
+
+    @pytest.mark.parametrize("draws", sorted(PINNED_CORE_RUN_ESTIMATES))
+    def test_core_estimates_of_the_benchmark_shape_are_pinned(self, draws):
+        assert approx_hex(*deep_benchmark_pair(), 0, draws) == PINNED_CORE_RUN_ESTIMATES[draws]
 
     def test_failure_masses_of_a_long_run_stay_small(self):
         # 100 repeated coordinates after a 5-coordinate core with 1,255 states
