@@ -22,15 +22,12 @@ states change: a layer whose states take only Type-I edges passes them on
 as they are, and at a coordinate whose marginals repeat the previous one's
 such a layer is a copy of its parent's record, tables included.  Layers
 store no path keys; the diagnostic views derive them from the child tables.
-Such a layer and its copies form a carried run, and every per-layer loop
-(the backward pass and both block queries) takes a run as one vectorised
-step; a layer with Type-II edges is a run of one, stepped alone.  The
+The backward pass and both block queries take one step per layer.  The
 sampling query walks a block of failure-conditioned draws down the DAG
 together, and the evaluation query is one forward pass per block of
 configurations over the states whose paths agree with them.  A direct
-trajectory simulator
-(:func:`simulate_coupling`) provides an independent path for statistical
-cross-validation of the DAG.
+trajectory simulator (:func:`simulate_coupling`) provides an independent
+path for statistical cross-validation of the DAG.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +46,7 @@ from .errors import (
     TooLarge,
     ZeroDiscrepancy,
 )
-from .model import Mixture, _chunk_length, as_configurations, check_same_domain, config_count
+from .model import Mixture, as_configurations, check_same_domain, config_count
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +97,8 @@ class _Layer:
     Layers may share arrays: a layer reached only by Type-I edges holds its
     parent layer's ``alpha`` and ``beta``, and at a repeated coordinate it is
     a copy of its parent's record, forward tables (``w1`` through
-    ``upd_alpha``) included.  On a carried run (:class:`_Run`) ``walk`` and
-    ``pfail`` are slices of one array per run; elsewhere they are the
-    layer's own.  Every array is read-only, so no write can reach several
+    ``upd_alpha``) included.  ``walk`` and ``pfail`` are each layer's own,
+    a copy's too.  Every array is read-only, so no write can reach several
     layers.  A state's total Type-III mass is ``res_p.sum(axis=1)``, summed
     where read.
     A layer that every path fails before holds no state (``M = 0``).
@@ -126,22 +122,6 @@ class _Layer:
         return int(self.alpha.shape[0])
 
 
-class _Run(NamedTuple):
-    """Layers ``start..stop-1``, the unit of work of every per-layer loop.
-
-    A carried run is a layer whose states take only Type-I edges and the
-    copies of it at the repeated coordinates that follow: its layers share
-    one forward record, so their states stay put (``child1`` is
-    ``arange(M)``) and no Type-II edge leaves them.  ``walk`` is then the
-    ``(stop - start, M, 3q)`` block whose slices are the layers' ``walk``.
-    Any other layer is a run of one with ``walk`` None.
-    """
-
-    start: int
-    stop: int
-    walk: np.ndarray | None
-
-
 def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """values[idx] with idx == -1 mapping to 0: -1 reads an appended zero."""
     return np.append(values, 0.0)[idx]
@@ -154,11 +134,10 @@ class CouplingDag:
     may run concurrently.
     """
 
-    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer], runs: list[_Run]):
+    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer]):
         self.mix_p = mix_p
         self.mix_q = mix_q
         self._layers = layers
-        self._runs = runs
 
     # -- basic shape ------------------------------------------------------
 
@@ -424,15 +403,12 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     layer's forward tables are the same function of the same inputs, so a
     carried layer at a repeated coordinate is a copy of its parent's record
     and carries its states over again.  Either way the tables hold exactly
-    the bytes a full step would compute.  The carried layer and its copies
-    form one carried run (:class:`_Run`), recorded in ``CouplingDag._runs``
-    with every other layer as a run of one.
+    the bytes a full step would compute.
 
     After the last layer, one backward pass fills each state's failure
     probability ``pfail`` and the cumulative weights ``walk`` of the
-    failure-conditioned walk, one run at a time: a carried run's ``walk``
-    is one ``(L, M, 3q)`` block built by one ``cumsum`` (see
-    :func:`_backward_on_run`).  All stored arrays are then made read-only.
+    failure-conditioned walk, one layer at a time, copies included.  All
+    stored arrays are then made read-only.
 
     Parameters
     ----------
@@ -460,7 +436,6 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         (bits_p[:, 1:] == bits_p[:, :-1]).all(axis=(0, 2))
         & (bits_q[:, 1:] == bits_q[:, :-1]).all(axis=(0, 2))
     ).tolist() + [False]
-    runs: list[tuple[int, int, bool]] = []  # (start, stop, carried), in layer order
 
     depth = 0
     while depth < n:
@@ -504,7 +479,7 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         if carry:
             lay.child1 = np.arange(m_here)
             # The states pass on again over the repeated coordinates that
-            # follow, each layer a copy of this record: one carried run.
+            # follow, each layer a copy of this record.
             while repeat[stop]:
                 stop += 1
             children = [replace(lay) for _ in range(depth + 1, stop)] + [_Layer(alpha=a, beta=b)]
@@ -523,7 +498,6 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
             lay.child1[has1] = index[:n1]
             lay.child2[par2, c2] = index[n1:]
             children = [_Layer(alpha=alpha[keep], beta=beta[keep])]
-        runs.append((depth, stop, carry))
         for child in children:
             count += child.size
             if max_states is not None and count > max_states:
@@ -534,53 +508,18 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         depth = stop
 
     layers[-1].pfail = np.zeros(layers[-1].size)
-    dag_runs: list[_Run] = []
-    for start, stop, carried in reversed(runs):
-        lay, nxt = layers[start], layers[stop].pfail
-        walk = None
-        if carried:
-            walk = _backward_on_run(layers[start:stop], nxt)
-        else:
-            pf1 = _gather(nxt, lay.child1)
-            pf2 = lay.w2 * _gather(nxt, lay.child2)
-            lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_p.sum(axis=1)
-            slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
-            lay.walk = np.cumsum(slots, axis=1)
-        dag_runs.append(_Run(start, stop, walk))
-    dag_runs.reverse()
-    # A copy's tables are its run's first layer's, and its walk and pfail
-    # are views of read-only blocks.
-    for lay in [layers[run.start] for run in dag_runs] + [layers[-1]]:
+    for depth in range(n - 1, -1, -1):
+        lay, nxt = layers[depth], layers[depth + 1].pfail
+        pf1 = _gather(nxt, lay.child1)
+        pf2 = lay.w2 * _gather(nxt, lay.child2)
+        lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_p.sum(axis=1)
+        slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
+        lay.walk = np.cumsum(slots, axis=1)
+    for lay in layers:
         for table in vars(lay).values():
             if table is not None:
                 table.flags.writeable = False
-    return CouplingDag(p, q, layers, dag_runs)
-
-
-def _backward_on_run(run: list[_Layer], nxt: np.ndarray) -> np.ndarray:
-    """Fill ``pfail`` and ``walk`` of a carried run's layers; returns the walk block.
-
-    The float operations are those of the per-layer step: on a carried
-    layer ``child1`` is ``arange(M)`` and every Type-II slot is ``+0.0``,
-    so ``pfail = s1 * pf + 0.0 + r`` with ``pf`` the next layer's, and each
-    walk row is ``cumsum([pf * w1 | 0 | res_p])``.
-    """
-    lay = run[0]
-    length, qq = len(run), lay.w1.shape[1]
-    s1, r = lay.w1.sum(axis=1), lay.res_p.sum(axis=1)
-    pfail = np.empty((length + 1, lay.size))  # row i: layer i of the run; the last, the next layer
-    pfail[length] = nxt
-    for i in range(length - 1, -1, -1):
-        pfail[i] = s1 * pfail[i + 1] + 0.0 + r
-    walk = np.empty((length, lay.size, 3 * qq))
-    np.multiply(pfail[1:, :, None], lay.w1, out=walk[:, :, :qq])
-    walk[:, :, qq : 2 * qq] = 0.0
-    walk[:, :, 2 * qq :] = lay.res_p
-    np.cumsum(walk, axis=2, out=walk)
-    pfail.flags.writeable = walk.flags.writeable = False
-    for i, layer in enumerate(run):
-        layer.pfail, layer.walk = pfail[i], walk[i]
-    return walk
+    return CouplingDag(p, q, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +560,8 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
     ``components[s, i, sigma_i]`` at every later coordinate ``i`` (Horner's
     rule for the suffix probabilities, so no per-layer suffix table is
     stored).  Every sum runs over one row's own terms in a fixed order, so a
-    row's value does not depend on the other rows of the block.  The pass
-    goes one run of layers at a time: a carried run keeps every triple's
-    state row, so it is taken in chunks of layers by :func:`_masses_on_run`
-    with the same terms in the same order.  The triples of the terminal
-    layer are never built.
+    row's value does not depend on the other rows of the block.  The
+    triples of the terminal layer are never built.
     """
     cfgs = as_configurations(dag.mix_p, sigmas)
     n_cfg, n = cfgs.shape
@@ -637,17 +573,10 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
     idx = np.arange(n_cfg)
     rows = np.zeros(n_cfg, dtype=np.int64)
     reach = np.ones(n_cfg)
-    for start, stop, walk in dag._runs:
-        lay = dag._layers[start]
-        if walk is not None:
-            a = start
-            while a < stop:
-                b = min(stop, a + _chunk_length(max(idx.size, n_cfg * k1)))
-                idx, rows, reach = _masses_on_run(lay, comp, cfgs, tails, a, b, idx, rows, reach)
-                a = b
-            continue
-        cell = rows * qq + cfgs[idx, start]  # flat index of (row, sigma_j) in a (M, q) table
-        tails *= comp[:, start, cfgs[:, start]].T
+    for depth in range(n):
+        lay = dag._layers[depth]
+        cell = rows * qq + cfgs[idx, depth]  # flat index of (row, sigma_j) in a (M, q) table
+        tails *= comp[:, depth, cfgs[:, depth]].T
         failed = lay.res_p.take(cell)
         failed *= reach
         cell_alpha = cell + rows * ((k1 - 1) * qq)  # flat index of (row, 0, sigma_j) in upd_alpha
@@ -656,7 +585,7 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
             terms *= failed
             tails[:, s] += np.bincount(idx, weights=terms, minlength=n_cfg)
             cell_alpha += qq
-        if stop == n:  # nothing reads the triples of the terminal layer
+        if depth == n - 1:  # nothing reads the triples of the terminal layer
             break
         w1 = lay.w1.take(cell)
         child2 = lay.child2.take(cell)
@@ -668,53 +597,6 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
     for s in range(1, k1):
         total += tails[:, s]
     return total
-
-
-def _masses_on_run(
-    lay: _Layer,
-    comp: np.ndarray,
-    cfgs: np.ndarray,
-    tails: np.ndarray,
-    a: int,
-    b: int,
-    idx: np.ndarray,
-    rows: np.ndarray,
-    reach: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`failure_masses` over layers ``a..b-1`` of one carried run.
-
-    The triples keep their rows, and their reach at each layer is one
-    ``np.multiply.accumulate`` of the Type-I weights.  A triple whose
-    Type-I weight is 0 at some layer stays to the chunk's end: its reach,
-    and so every term it adds, is ``+0.0`` from then on, which leaves every
-    sum's bits unchanged.  Bin ``l * B + idx`` of one ``bincount`` per
-    component collects layer ``l``'s terms of row ``idx`` in triple order,
-    as the per-layer step adds them.  Updates ``tails`` in place and
-    returns the triples that pass on.
-    """
-    length, (n_cfg, k1), qq = b - a, tails.shape, lay.w1.shape[1]
-    cell = rows * qq + cfgs.T[a:b, idx]  # (L, T): flat index of (row, sigma_j) in a (M, q) table
-    reaches = np.empty((length + 1, idx.size))
-    reaches[0] = reach
-    lay.w1.take(cell, out=reaches[1:])
-    keep = (reaches[1:] > 0.0).all(axis=0)
-    np.multiply.accumulate(reaches, axis=0, out=reaches)
-    failed = lay.res_p.take(cell)
-    failed *= reaches[:length]
-    bins = (np.arange(length)[:, None] * n_cfg + idx).ravel()
-    cell += rows * ((k1 - 1) * qq)  # flat index of (row, 0, sigma_j) in upd_alpha
-    added = np.empty((length, n_cfg, k1))
-    for s in range(k1):
-        terms = lay.upd_alpha.take(cell)
-        terms *= failed
-        added[:, :, s] = np.bincount(bins, weights=terms.ravel(), minlength=length * n_cfg).reshape(length, n_cfg)
-        cell += qq
-    del cell, failed, bins, terms  # the step's (L, T) blocks, freed before the (L, B, k1) gather
-    factors = comp.transpose(1, 2, 0)[np.arange(a, b)[:, None], cfgs[:, a:b].T]  # (L, B, k1)
-    for i in range(length):
-        tails *= factors[i]
-        tails += added[i]
-    return idx[keep], rows[keep], reaches[length, keep]
 
 
 def evaluate_failure_mass(dag: CouplingDag, sigma: Sequence[int]) -> float:
@@ -774,12 +656,8 @@ def sample_failed_trajectories(
     component pick reads column ``d + 1`` and tail coordinate ``j > d``
     reads column ``j + 1``.  So row ``b`` is the ``b``-th of ``count``
     sequential one-row calls, and the generator ends in the same state.
-    All rows advance together, one run of layers at a time (:class:`_Run`):
-    the rows still walking pick an edge, the rows that failed earlier draw
-    their tail coordinates.  On a carried run the walking rows keep their
-    states, so one pick covers all of the run's layers, and each row's
-    first failure among them is found with ``argmax``; the picks after it
-    are discarded.
+    All rows advance together, one layer at a time: the rows still walking
+    pick an edge, the rows that failed earlier draw their tail coordinates.
     """
     if count < 1:
         raise ShapeMismatch(f"count must be at least 1, got {count}")
@@ -793,18 +671,8 @@ def sample_failed_trajectories(
     rows = np.zeros(count, dtype=np.int64)  # their states in the current layer
     failed = np.zeros(0, dtype=np.int64)  # draws past their failure layer
     component = np.zeros(0, dtype=np.int64)  # their P-side components
-    for start, stop, walk in dag._runs:
-        lay = dag._layers[start]
-        if walk is not None:
-            a = start
-            while a < stop:
-                b = min(stop, a + _chunk_length(max(walking.size * 3 * qq, failed.size * qq)))
-                walking, rows, failed, component = _walk_on_run(
-                    lay, walk[a - start : b - start], cum_comp, u, out, a, walking, rows, failed, component
-                )
-                a = b
-            continue
-        depth = start
+    for depth in range(n):
+        lay = dag._layers[depth]
         if failed.size:
             out[failed, depth] = _pick_rows(u[failed, depth + 1], cum_comp[component, depth])
         if not walking.size:
@@ -822,53 +690,6 @@ def sample_failed_trajectories(
     if walking.size:
         raise FactViolation(f"{walking.size} of {count} draws never reached the failure sink")
     return out
-
-
-def _walk_on_run(
-    lay: _Layer,
-    walk: np.ndarray,
-    cum_comp: np.ndarray,
-    u: np.ndarray,
-    out: np.ndarray,
-    a: int,
-    walking: np.ndarray,
-    rows: np.ndarray,
-    failed: np.ndarray,
-    component: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`sample_failed_trajectories` over the ``L`` layers ``a..a+L-1`` of a carried run.
-
-    ``walk`` is the run's walk block over those layers.  Every decision
-    reads the double the per-layer walk reads: layer ``j``'s edge pick
-    column ``j``, the component pick after a failure at ``j`` column
-    ``j + 1``, and the tail coordinate at ``j`` column ``j + 1``.  Writes
-    ``out`` and returns the updated ``(walking, rows, failed, component)``.
-    """
-    length, _, width = walk.shape
-    qq = width // 3
-    first = np.full(failed.size, -1)  # run layer a row failed at; -1 before the run
-    if walking.size:
-        slot = _pick_rows(u[walking, a : a + length].T.ravel(), walk[:, rows].reshape(-1, width))
-        band, c = np.divmod(slot.reshape(length, walking.size), qq)  # band is 0 or 2
-        out[walking, a : a + length] = c.T
-        fail = band == 2
-        hit = fail.any(axis=0)
-        if hit.any():
-            at = fail.argmax(axis=0)[hit]
-            new, new_rows = walking[hit], rows[hit]
-            weights = np.cumsum(_upd_alpha_at(lay, new_rows, c[at, hit]), axis=1)
-            failed = np.concatenate([failed, new])
-            component = np.concatenate([component, _pick_rows(u[new, a + at + 1], weights)])
-            first = np.concatenate([first, at])
-            walking, rows = walking[~hit], rows[~hit]
-    if failed.size:
-        tail = _pick_rows(
-            u[failed, a + 1 : a + length + 1].ravel(),
-            cum_comp[component, a : a + length].reshape(-1, qq),
-        ).reshape(failed.size, length)
-        r, i = np.nonzero(np.arange(length) > first[:, None])
-        out[failed[r], a + i] = tail[r, i]
-    return walking, rows, failed, component
 
 
 def sample_failed_trajectory(dag: CouplingDag, rng: np.random.Generator) -> tuple[int, ...]:

@@ -22,11 +22,10 @@ from .errors import NormalizationError, NotAProbability, ShapeMismatch, TooLarge
 SUM_TOL = 1e-9
 # Single entries may undershoot 0 / overshoot 1 by at most this much.
 ENTRY_TOL = 1e-12
-# Elements of the largest temporary array that one vectorised step over a
-# chunk of coordinates (here and in the coupling DAG's per-layer loops)
-# allocates; a longer range is walked in chunks.  At 64 KB of doubles the
-# temporaries stay below a query's peak RSS: 2^15 added 0.4 MB on the
-# approx-deep benchmark.
+# Elements of the largest temporary array that one vectorised step of
+# :func:`masses` over a chunk of coordinates allocates; a longer range is
+# walked in chunks.  At 64 KB of doubles the temporaries stay below a
+# query's peak RSS: 2^15 added 0.4 MB on the approx-deep benchmark.
 _STEP_ELEMENTS = 1 << 13
 
 

@@ -53,8 +53,9 @@ def dense_failure_mass(dag, sigma):
 
 
 def per_layer_failure_masses(dag, sigmas):
-    """:func:`mixtv.failure_masses` as one round of array calls per layer, the
-    way it was computed before runs of layers were walked in one step."""
+    """:func:`mixtv.failure_masses` written out with plain fancy indexing,
+    one round of array calls per layer, as a reference independent of its
+    flat-index reads."""
     cfgs = np.asarray(sigmas, dtype=np.int64)
     n_cfg, n = cfgs.shape
     comp = dag.mix_p.components
@@ -652,8 +653,12 @@ PINNED_CORE_DEEP_ESTIMATES = {
     ("smoke-subcube-deep-n120.json", 2): ("0x1.4047871debcacp-1", "0x1.e8b71c71c71c7p-1"),
 }
 PINNED_CORE_RUN_ESTIMATES = {
-    100: ("0x1.652ebf7187ca8p-1", "0x1.f7fffffffffffp-1"),
-    2000: ("0x1.6526554dbc257p-1", "0x1.f7fffffffffffp-1"),
+    ("deep", 100): ("0x1.652ebf7187ca8p-1", "0x1.f7fffffffffffp-1"),
+    ("deep", 2000): ("0x1.6526554dbc257p-1", "0x1.f7fffffffffffp-1"),
+    # Recorded while runs of carried layers were still stepped as one unit:
+    # the presolve removes nothing from the tilted pair, and its runs of
+    # repeated coordinates carry failure mass.
+    ("tilted", 2000): ("0x1.7e888a4e2b813p-1", "0x1.ffd47f3be7fafp-1"),
 }
 
 
@@ -662,6 +667,12 @@ def deep_benchmark_pair():
     return benchmark_workloads().windowed_subcube_pair(
         np.random.default_rng(1), 400, window=400, k1=3, k2=3
     )
+
+
+CORE_RUN_PAIRS = {
+    "deep": deep_benchmark_pair,
+    "tilted": lambda: windowed_pair(2, n=400, tilt=0.01),
+}
 
 
 def assert_same_bits(got, want):
@@ -806,30 +817,6 @@ class TestCarryOver:
             assert_tables_fit_their_layer(p, q, dag)
         assert carried and mixed
 
-    def test_runs_cover_the_layers_and_hold_their_walk_blocks(self, random_dags):
-        windowed = [windowed_pair(seed, n=40) for seed in range(3)]
-        for p, q, dag in [*random_dags, *((p, q, mx.build_dag(p, q)) for p, q in windowed)]:
-            layers, runs = dag._layers, dag._runs
-            assert [run.start for run in runs] == [0] + [run.stop for run in runs[:-1]]
-            assert runs[-1].stop == p.n
-            assert [(start, stop) for start, stop, _ in runs if stop - start > 1] == shared_runs(dag)
-            for start, stop, walk in runs:
-                lay = layers[start]
-                only_type_one = (lay.w1.sum(axis=1) > 0.0).all() and not (lay.w2 > 0.0).any()
-                assert (walk is not None) == only_type_one
-                if walk is None:
-                    assert stop == start + 1
-                    continue
-                assert walk.shape == (stop - start, lay.size, 3 * p.q)
-                assert not walk.flags.writeable
-                for depth in range(start, stop):
-                    assert layers[depth].w1 is lay.w1 and layers[depth].alpha is lay.alpha
-                    assert layers[depth].walk.base is walk
-                    np.testing.assert_array_equal(layers[depth].walk, walk[depth - start])
-                    assert layers[depth].pfail.base is layers[start].pfail.base is not None
-                if stop < p.n:
-                    assert layers[stop].w1 is not lay.w1
-
     def test_layer_tables_are_read_only(self):
         p, q = windowed_pair(0, n=30)
         dag = mx.build_dag(p, q)
@@ -853,15 +840,15 @@ class TestCarryOver:
         got = approx_hex(*read_instance(name), seed, 2000)
         assert got == PINNED_CORE_DEEP_ESTIMATES[name, seed]
 
-    @pytest.mark.parametrize("draws", sorted(PINNED_CORE_RUN_ESTIMATES))
-    def test_core_estimates_of_the_benchmark_shape_are_pinned(self, draws):
-        assert approx_hex(*deep_benchmark_pair(), 0, draws) == PINNED_CORE_RUN_ESTIMATES[draws]
+    @pytest.mark.parametrize("pair,draws", sorted(PINNED_CORE_RUN_ESTIMATES))
+    def test_core_estimates_of_the_benchmark_shape_are_pinned(self, pair, draws):
+        got = approx_hex(*CORE_RUN_PAIRS[pair](), 0, draws)
+        assert got == PINNED_CORE_RUN_ESTIMATES[pair, draws]
 
     def test_failure_masses_of_a_long_run_stay_small(self):
         # 100 repeated coordinates after a 5-coordinate core with 1,255 states
         # in its last layer; 256 draws reach the run with about 7,300
-        # (row, state, reach) triples.  Measured before runs were walked in
-        # one step: a peak of 0.79 MB.
+        # (row, state, reach) triples.  Measured peak: 0.72 MB.
         p, q = padded_pair(5, 100)
         dag = mx.build_dag(p, q)
         sigmas = mx.sample_failed_trajectories(dag, np.random.default_rng(0), 256)
@@ -875,10 +862,9 @@ class TestCarryOver:
         assert masses.tobytes() == per_layer_failure_masses(dag, sigmas).tobytes()
 
     def test_failure_masses_free_a_run_steps_blocks_before_the_factor_gather(self):
-        # 256 draws carry about 56,500 triples into the 100-layer run, which
-        # is then stepped one layer per chunk.  Measured peaks: 8.1 MB while
-        # a step's (L, T) blocks lived on through its (L, B, k1) gather,
-        # 6.4 MB with them freed first.
+        # 256 draws carry about 56,500 triples into the 100-layer run, each
+        # layer's step building its arrays over all of them.  Measured
+        # peak: 5.1 MB.
         p, q = padded_pair(9, 100)
         dag = mx.build_dag(p, q)
         sigmas = mx.sample_failed_trajectories(dag, np.random.default_rng(0), 256)
@@ -1142,9 +1128,6 @@ class TestSampleFailedTrajectory:
         dag = mx.build_dag(uniform2, point00)
         for lay in dag._layers[:-1]:
             monkeypatch.setattr(lay, "walk", np.ones_like(lay.walk))
-        assert any(run.walk is not None for run in dag._runs)
-        ones = [run if run.walk is None else run._replace(walk=np.ones_like(run.walk)) for run in dag._runs]
-        monkeypatch.setattr(dag, "_runs", ones)  # and each carried run's walk block
         with pytest.raises(mx.FactViolation, match="never reached the failure sink"):
             mx.sample_failed_trajectories(dag, np.random.default_rng(0), 5)
 
