@@ -62,10 +62,10 @@ def _canonical(obj: Any) -> str:
 
 @dataclass(frozen=True)
 class _Block:
-    """A float block cut from an instance's text: its array and its canonical text."""
+    """A float block cut from an instance's text: its array and its text, which is canonical."""
 
     array: np.ndarray
-    text: bytes | memoryview
+    text: memoryview
 
 
 def _runs(data: bytes, lo: int, hi: int) -> int:
@@ -82,14 +82,14 @@ def _read_block(span: memoryview) -> _Block | None:
     """The float block that ``span``, compact text from ``[[[`` to ``]]]``, spells, or None.
 
     A float block is a rectangular (k, n, q) list whose every leaf has type
-    exactly ``float``; a ragged or empty block, or one with an ``int`` or
-    ``bool`` leaf (a JSON ``1`` is not ``1.0``), is None. The span is split
-    at its component and row separators, and each distinct row text is
-    parsed once, in one ``json.loads`` call. Rows are told apart by their
-    text, so ``-0.0`` and ``0.0`` stay apart, as in the encoding, and so do
-    ``0.5`` and ``0.50``, whose canonical texts agree. The block's text is
-    the canonical text of each of its rows, joined: ``span`` itself when
-    every row is spelled as it encodes.
+    exactly ``float`` and is spelled as Python encodes it, so that ``span``
+    is the block's canonical text. Any other span is None: a ragged or empty
+    block, one with an ``int`` or ``bool`` leaf (a JSON ``1`` is not
+    ``1.0``), one with a float spelled otherwise (``0.50``, ``5e-1``), or
+    one that is not a block. The span is split at its component and row
+    separators, and each distinct row text is parsed once, in one
+    ``json.loads`` call. Rows are told apart by their text, so ``-0.0`` and
+    ``0.0`` stay apart, as in the encoding.
     """
     components = [c.split(b"],[") for c in span[3:-3].tobytes().split(b"]],[[")]
     k, n = len(components), len(components[0])
@@ -109,6 +109,7 @@ def _read_block(span: memoryview) -> _Block | None:
         or set(map(type, rows_values)) != {list}
         or set(map(len, rows_values)) != {len(rows_values[0])}
         or set(map(type, chain.from_iterable(rows_values))) != {float}
+        or _canonical(values) != joined  # a float not spelled as it encodes
     ):
         return None
     q = len(rows_values[0])
@@ -116,23 +117,20 @@ def _read_block(span: memoryview) -> _Block | None:
     if len(distinct) < len(rows):
         index = dict(zip(distinct, range(len(distinct))))
         array = array[np.fromiter(map(index.__getitem__, rows), np.intp, len(rows))]
-    canonical = _canonical(values)
-    if canonical == joined:
-        return _Block(array.reshape(k, n, q), span)
-    # A row not spelled as it encodes: join the canonical texts of the rows.
-    # No float's text holds "],[".
-    texts = dict(zip(distinct, canonical[5:-5].encode().split(b"],[")))
-    rows = list(map(texts.__getitem__, rows))
-    text = b"]],[[".join(b"],[".join(rows[c * n : (c + 1) * n]) for c in range(k))
-    return _Block(array.reshape(k, n, q), b"[[[" + text + b"]]]")
+    return _Block(array.reshape(k, n, q), span)
 
 
 def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
     """``data`` with each float block outside its strings cut out, and those blocks.
 
-    Each cut block leaves the token ``NaN`` behind, which ``json.loads``
-    hands to its ``parse_constant`` hook in text order, and the text outside
-    strings loses its whitespace. JSON whitespace may go where it sits next
+    The scan takes the first ``[[[`` in the text between two strings, and
+    the first ``]]]`` after it, and hands that span to :func:`_read_block`.
+    A span that it refuses stays in the text, and the scan goes on after
+    its ``]]]``: a block that starts at a later ``[[[`` before the same
+    ``]]]``, as in ``[[[[0.5]]]]``, is not cut. Each cut block leaves the
+    token ``NaN`` behind, which ``json.loads`` hands to its
+    ``parse_constant`` hook in text order, and the text outside strings
+    loses its whitespace. JSON whitespace may go where it sits next
     to one of ``[]{},:``; between two other bytes (``1.0 5``, ``tr ue``) it
     parts two tokens that deleting it would join, which only an invalid
     document holds. Nothing is cut then, when the runs of such bytes fall in
@@ -160,12 +158,7 @@ def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
     for lo, hi, string in zip(cuts[::2], cuts[1::2], [*strings, b""]):
         start = tight.find(b"[[[", lo, hi)
         while start >= 0 and (end := tight.find(b"]]]", start, hi)) >= 0:
-            # Each "[[[" before end shares this end, and a block holds no other
-            # "[[[": so the block starts at start or else at the last of them.
-            block = _read_block(view[start : end + 3])
-            if block is None and (last := tight.rfind(b"[[[", start + 1, end)) > start:
-                start, block = last, _read_block(view[last : end + 3])
-            if block is not None:
+            if (block := _read_block(view[start : end + 3])) is not None:
                 kept.append(tight[lo:start])
                 pieces += (kept[-1], b"NaN")
                 blocks.append(block)
@@ -191,31 +184,17 @@ def _parse_json(data: bytes, path: str) -> Any:
         raise ShapeMismatch(f"{path}: {exc}") from None
 
 
-def _expand(doc: Any) -> Any:
-    """``doc`` with each block left in it as the nested lists it was cut from."""
-    if type(doc) is _Block:
-        return doc.array.tolist()
-    stack = [doc]
-    while stack:
-        node = stack.pop()
-        for key, value in node.items() if type(node) is dict else enumerate(node):
-            if type(value) is _Block:
-                node[key] = value.array.tolist()
-            elif type(value) in (dict, list):
-                stack.append(value)
-    return doc
-
-
-def _read(data: bytes, path: str) -> tuple[Any, dict[tuple[str, str], bytes | memoryview]]:
+def _read(data: bytes, path: str) -> tuple[Any, dict[tuple[str, str], memoryview]]:
     """The document that the file's bytes ``data`` hold, and the canonical texts of its arrays.
 
     Only the skeleton of ``data`` (see :func:`_skeleton`) goes through
-    ``json.loads``. A block that lands as a value of the mixture object
-    ``p`` or ``q_dist`` becomes its array, keyed by (mixture, key) in the
-    returned texts; one that lands anywhere else becomes the nested lists
-    that ``json.loads`` would have built. When the skeleton is not UTF-8 or
-    not JSON, the file is decoded and parsed whole, so that the error is the
-    one that reading it in text mode raises.
+    ``json.loads`` when each cut block lands as a value of the mixture
+    object ``p`` or ``q_dist``: the block becomes its array, and its text is
+    keyed by (mixture, key) in the returned texts. Otherwise the file is
+    decoded and parsed whole, as ``json.load`` reads it in text mode, and no
+    texts are returned: when a block lands anywhere else or is dropped with
+    a repeated key, and when the skeleton is not UTF-8 or not JSON, so that
+    the error is the one that reading the file raises.
     """
     skeleton, blocks = _skeleton(data)
     markers = iter(blocks)
@@ -238,11 +217,11 @@ def _read(data: bytes, path: str) -> tuple[Any, dict[tuple[str, str], bytes | me
                 if type(value) is _Block:
                     mixture[key], texts[name, key] = value.array, value.text
     if len(texts) < len(blocks):  # blocks elsewhere, or dropped with a duplicate key
-        doc = _expand(doc)
+        return _parse_json(data, path), {}
     return doc, texts
 
 
-def _digest(doc: Any, texts: dict[tuple[str, str], bytes | memoryview]) -> str:
+def _digest(doc: Any, texts: dict[tuple[str, str], memoryview]) -> str:
     """SHA-256 of ``_canonical(doc)``, where ``doc[m][key]`` is encoded as ``texts[m, key]``.
 
     The hash is fed piece by piece. The instance layout is walked with

@@ -29,11 +29,6 @@ ENTRY_TOL = 1e-12
 _STEP_ELEMENTS = 1 << 13
 
 
-def _chunk_length(per_coordinate: int) -> int:
-    """Coordinates one step spans when each adds ``per_coordinate`` elements."""
-    return max(1, _STEP_ELEMENTS // max(per_coordinate, 1))
-
-
 @dataclass(frozen=True)
 class Mixture:
     """A validated mixture of ``k`` product distributions.
@@ -204,7 +199,7 @@ def masses(m: Mixture, configs: Sequence[Sequence[int]]) -> np.ndarray:
     cfgs = as_configurations(m, configs)
     marginals = m.components.transpose(1, 2, 0)  # (n, q, k)
     prods = np.ones((cfgs.shape[0], m.k))
-    step = _chunk_length(prods.size)
+    step = max(1, _STEP_ELEMENTS // max(prods.size, 1))  # coordinates per chunk
     for i in range(0, m.n, step):
         j = min(i + step, m.n)
         chunk = marginals[np.arange(i, j)[:, None], cfgs[:, i:j].T]  # (j - i, B, k)

@@ -480,6 +480,10 @@ class TestReports:
         indented.write_text(json.dumps(doc, sort_keys=True, indent=2))
         digests = set()
         for path in (compact, indented):
+            # Both blocks take the fast path: a fallback to the whole-file parse shows here.
+            data = path.read_bytes()
+            assert len(cli._skeleton(data)[1]) == 2
+            assert set(cli._read(data, str(path))[1]) == {("p", "components"), ("q_dist", "components")}
             code, out, _ = run_cli(capsys, ["exact-subcube", "--input", str(path)])
             assert code == 0
             digests.add(json.loads(out)["digest"])

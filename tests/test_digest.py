@@ -233,13 +233,47 @@ def test_broken_block_reports_json_error(doc_path, capsys, name):
     assert json.loads(err) == {"error": "validation", "detail": detail}
 
 
-def test_deep_nesting_tries_each_block_end_at_most_twice(monkeypatch):
-    # Every "[[[" before a "]]]" shares it, so the scan reads at most two spans
-    # per "]]]", not one per "[[[": nesting 5,000 deep costs two reads.
+@pytest.mark.parametrize("shape", ["spelled-row", "meta-block", "repeated-key"])
+def test_off_shape_files_are_read_by_json(doc_path, shape):
+    # The fast path cuts only canonical float blocks that land in p or q_dist;
+    # anything else is left to json, with the same digest and bits.
+    doc = {
+        "q": 2,
+        "n": 2,
+        "p": {"weights": [1.0], "components": [[[0.5, 0.5], [0.25, 0.75]]]},
+        "q_dist": {"weights": [1.0], "components": [[[1.0, 0.0], [0.25, 0.75]]]},
+    }
+    if shape == "meta-block":
+        doc["meta"] = [[[0.25, 0.75]]]
+    text = json.dumps(doc, separators=(",", ":"))
+    if shape == "spelled-row":
+        text = text.replace("[[[0.5,0.5]", "[[[0.50,0.5]")
+    elif shape == "repeated-key":  # a first p, which the second replaces
+        text = text.replace("{", '{"p":{"weights":[1.0],"components":[[[0.75,0.25]]]},', 1)
+    data = text.encode()
+    skeleton, blocks = cli._skeleton(data)
+    read, texts = cli._read(data, str(doc_path))
+    if shape == "spelled-row":
+        assert b"[[[0.50,0.5],[0.25,0.75]]]" in skeleton and len(blocks) == 1
+        assert list(texts) == [("q_dist", "components")]
+    else:
+        assert len(blocks) == 3 and texts == {}
+    assert cli._digest(read, texts) == canonical_digest(doc)
+    doc_path.write_text(text)
+    p, q, digest = cli._load_instance(str(doc_path))
+    assert digest == canonical_digest(doc)
+    ref_p, ref_q = model.parse_instance(json.loads(text))
+    assert_same_bits(p, ref_p)
+    assert_same_bits(q, ref_q)
+
+
+def test_deep_nesting_reads_each_block_end_once(monkeypatch):
+    # The scan reads the span from the first "[[[" to the "]]]" after it and
+    # goes on past that "]]]": nesting 5,000 deep costs one read, and json
+    # reads the text uncut.
     calls = []
     read_block = cli._read_block
     monkeypatch.setattr(cli, "_read_block", lambda span: calls.append(len(span)) or read_block(span))
-    skeleton, blocks = cli._skeleton(b"[" * 5000 + b"0.5" + b"]" * 5000)
-    assert skeleton == b"[" * 4997 + b"NaN" + b"]" * 4997
-    assert [b.array.tolist() for b in blocks] == [[[[0.5]]]]
-    assert len(calls) == 2
+    data = b"[" * 5000 + b"0.5" + b"]" * 5000
+    assert cli._skeleton(data) == (data, [])
+    assert len(calls) == 1
