@@ -68,11 +68,11 @@ class _Block:
     text: memoryview
 
 
-def _runs(data: bytes, lo: int, hi: int) -> int:
-    """How many runs ``data[lo:hi]`` holds of bytes other than JSON whitespace and ``[]{},:``."""
+def _runs(data: bytes) -> int:
+    """How many runs ``data`` holds of bytes other than JSON whitespace and ``[]{},:``."""
     runs, last = 0, 0
-    for start in range(lo, hi, _SLICE):  # small temporaries: no fresh pages to fault in
-        other = np.frombuffer(data[start : min(start + _SLICE, hi)].translate(_OTHER), np.uint8)
+    for start in range(0, len(data), _SLICE):  # small temporaries: no fresh pages to fault in
+        other = np.frombuffer(data[start : start + _SLICE].translate(_OTHER), np.uint8)
         runs += int(other[0] > last) + int(np.count_nonzero(other[1:] > other[:-1]))
         last = other[-1]
     return runs
@@ -121,54 +121,43 @@ def _read_block(span: memoryview) -> _Block | None:
 
 
 def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
-    """``data`` with each float block outside its strings cut out, and those blocks.
+    """``data`` without JSON whitespace and with each float block cut out, and those blocks.
 
-    The scan takes the first ``[[[`` in the text between two strings, and
-    the first ``]]]`` after it, and hands that span to :func:`_read_block`.
-    A span that it refuses stays in the text, and the scan goes on after
-    its ``]]]``: a block that starts at a later ``[[[`` before the same
-    ``]]]``, as in ``[[[[0.5]]]]``, is not cut. Each cut block leaves the
-    token ``NaN`` behind, which ``json.loads`` hands to its
-    ``parse_constant`` hook in text order, and the text outside strings
-    loses its whitespace. JSON whitespace may go where it sits next
-    to one of ``[]{},:``; between two other bytes (``1.0 5``, ``tr ue``) it
-    parts two tokens that deleting it would join, which only an invalid
-    document holds. Nothing is cut then, when the runs of such bytes fall in
-    number, nor when the text left outside strings holds a ``NaN`` of its own.
+    The scan takes the first ``[[[`` in the text and the first ``]]]`` after
+    it, and hands that span to :func:`_read_block`. A span that it refuses
+    stays in the text, and the scan goes on after its ``]]]``: a block that
+    starts at a later ``[[[`` before the same ``]]]``, as in ``[[[[0.5]]]]``,
+    is not cut. Each cut block leaves the token ``NaN`` behind, which
+    ``json.loads`` hands to its ``parse_constant`` hook in text order.
+    The cut stands only if the text is the same document but for its blocks.
+    Otherwise ``(data, [])`` is returned, and the file is read by ``json``:
+
+    - when deleting whitespace joins two tokens, that is, the runs of bytes
+      other than ``[]{},:`` fall in number (``1.0 5``, ``tr ue``, or a
+      string that holds ``a b``);
+    - when the skeleton holds a ``NaN`` that no cut block left, as a
+      constant or in a string;
+    - when its strings differ from those of ``data``: a string held
+      whitespace or a cut block.
     """
-    # (start, stop) of each string, in order; the text outside lies between them.
-    cuts = [0, *chain.from_iterable(m.span() for m in _STRING.finditer(data)), len(data)]
-    strings = [data[start:stop] for start, stop in zip(cuts[1:-1:2], cuts[2:-1:2])]
     tight = data
     if any(ws in data for ws in _WS):
         tight = data.translate(None, _WS)
-        # The cuts in tight: no quote lies between two strings.
-        moved, stop = [0], 0
-        for string in strings:
-            start = tight.find(b'"', stop)
-            stop = start + len(string.translate(None, _WS))
-            moved += (start, stop)
-        moved.append(len(tight))
-        runs = sum(_runs(data, lo, hi) - _runs(tight, lo_t, hi_t)
-                   for lo, hi, lo_t, hi_t in zip(cuts[::2], cuts[1::2], moved[::2], moved[1::2]))
-        if runs:
+        if _runs(tight) != _runs(data):
             return data, []
-        cuts = moved
-    view, pieces, kept, blocks = memoryview(tight), [], [], []
-    for lo, hi, string in zip(cuts[::2], cuts[1::2], [*strings, b""]):
-        start = tight.find(b"[[[", lo, hi)
-        while start >= 0 and (end := tight.find(b"]]]", start, hi)) >= 0:
-            if (block := _read_block(view[start : end + 3])) is not None:
-                kept.append(tight[lo:start])
-                pieces += (kept[-1], b"NaN")
-                blocks.append(block)
-                lo = end + 3
-            start = tight.find(b"[[[", end + 3, hi)
-        kept.append(tight[lo:hi])
-        pieces += (kept[-1], string)
-    if any(b"NaN" in piece for piece in kept):
+    view, pieces, blocks, lo = memoryview(tight), [], [], 0
+    start = tight.find(b"[[[")
+    while start >= 0 and (end := tight.find(b"]]]", start)) >= 0:
+        if (block := _read_block(view[start : end + 3])) is not None:
+            pieces += (tight[lo:start], b"NaN")
+            blocks.append(block)
+            lo = end + 3
+        start = tight.find(b"[[[", end + 3)
+    pieces.append(tight[lo:])
+    skeleton = b"".join(pieces)
+    if skeleton.count(b"NaN") != len(blocks) or _STRING.findall(skeleton) != _STRING.findall(data):
         return data, []
-    return b"".join(pieces), blocks
+    return skeleton, blocks
 
 
 def _parse_json(data: bytes, path: str) -> Any:
@@ -192,9 +181,10 @@ def _read(data: bytes, path: str) -> tuple[Any, dict[tuple[str, str], memoryview
     object ``p`` or ``q_dist``: the block becomes its array, and its text is
     keyed by (mixture, key) in the returned texts. Otherwise the file is
     decoded and parsed whole, as ``json.load`` reads it in text mode, and no
-    texts are returned: when a block lands anywhere else or is dropped with
-    a repeated key, and when the skeleton is not UTF-8 or not JSON, so that
-    the error is the one that reading the file raises.
+    texts are returned: when :func:`_skeleton` cuts nothing, when a block
+    lands anywhere else or is dropped with a repeated key, and when the
+    skeleton is not UTF-8 or not JSON, so that the error is the one that
+    reading the file raises.
     """
     skeleton, blocks = _skeleton(data)
     markers = iter(blocks)

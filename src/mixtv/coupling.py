@@ -508,11 +508,16 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         depth = stop
 
     layers[-1].pfail = np.zeros(layers[-1].size)
+    record = None
     for depth in range(n - 1, -1, -1):
-        lay, nxt = layers[depth], layers[depth + 1].pfail
-        pf1 = _gather(nxt, lay.child1)
-        pf2 = lay.w2 * _gather(nxt, lay.child2)
-        lay.pfail = lay.w1.sum(axis=1) * pf1 + pf2.sum(axis=1) + lay.res_p.sum(axis=1)
+        lay = layers[depth]
+        if record is None or record[0] is not lay.w1:  # a layer's copies share its tables
+            children = np.concatenate([lay.child1[:, None], lay.child2], axis=1)
+            record = lay.w1, children, lay.w1.sum(axis=1), lay.res_p.sum(axis=1)
+        _, children, w1_sum, res_sum = record
+        pf = _gather(layers[depth + 1].pfail, children)
+        pf1, pf2 = pf[:, 0], lay.w2 * pf[:, 1:]
+        lay.pfail = w1_sum * pf1 + pf2.sum(axis=1) + res_sum
         slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
         lay.walk = np.cumsum(slots, axis=1)
     for lay in layers:

@@ -233,10 +233,21 @@ def test_broken_block_reports_json_error(doc_path, capsys, name):
     assert json.loads(err) == {"error": "validation", "detail": detail}
 
 
-@pytest.mark.parametrize("shape", ["spelled-row", "meta-block", "repeated-key"])
+# Strings that keep a file off the fast path: whitespace, block text or a NaN
+# in a string sends the file to json whole.
+META_STRINGS = {
+    "spaced-string": "a b",
+    "bracket-string": "a [ b",
+    "block-string": "[[[0.5,0.5]]]",
+    "nan-string": "NaN",
+}
+
+
+@pytest.mark.parametrize("shape", ["spelled-row", "meta-block", "repeated-key", *META_STRINGS])
 def test_off_shape_files_are_read_by_json(doc_path, shape):
-    # The fast path cuts only canonical float blocks that land in p or q_dist;
-    # anything else is left to json, with the same digest and bits.
+    # The fast path cuts only canonical float blocks that land in p or q_dist,
+    # from a file whose strings it leaves as they are; anything else is left
+    # to json, with the same digest and bits.
     doc = {
         "q": 2,
         "n": 2,
@@ -245,6 +256,8 @@ def test_off_shape_files_are_read_by_json(doc_path, shape):
     }
     if shape == "meta-block":
         doc["meta"] = [[[0.25, 0.75]]]
+    elif shape in META_STRINGS:
+        doc["meta"] = META_STRINGS[shape]
     text = json.dumps(doc, separators=(",", ":"))
     if shape == "spelled-row":
         text = text.replace("[[[0.5,0.5]", "[[[0.50,0.5]")
@@ -256,6 +269,8 @@ def test_off_shape_files_are_read_by_json(doc_path, shape):
     if shape == "spelled-row":
         assert b"[[[0.50,0.5],[0.25,0.75]]]" in skeleton and len(blocks) == 1
         assert list(texts) == [("q_dist", "components")]
+    elif shape in META_STRINGS:
+        assert (skeleton, blocks) == (data, []) and texts == {}
     else:
         assert len(blocks) == 3 and texts == {}
     assert cli._digest(read, texts) == canonical_digest(doc)
