@@ -20,8 +20,8 @@ cumulative edge weights of the failure-conditioned walk, so the discrepancy
 is a table read.  The forward pass does full work only at layers where the
 states change: a layer whose states take only Type-I edges passes them on
 as they are, and at a coordinate whose marginals repeat the previous one's
-such a layer is a copy of its parent's record, tables included.  Layers
-store no path keys; the diagnostic views derive them from the child tables.
+the DAG holds that layer's record again; the failure and walk tables are
+kept per depth.  Layers store no path keys; the views derive them.
 The backward pass and both block queries take one step per layer.  The
 sampling query walks a block of failure-conditioned draws down the DAG
 together, and the evaluation query is one forward pass per block of
@@ -32,7 +32,7 @@ path for statistical cross-validation of the DAG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Iterator, Sequence
@@ -92,15 +92,14 @@ class Transition:
 
 @dataclass
 class _Layer:
-    """Per-layer tables, all filled by :func:`build_dag`; row ``m`` is the ``m``-th state.
+    """One coordinate's forward step, filled by :func:`build_dag`; row ``m`` is the ``m``-th state.
 
     Layers may share arrays: a layer reached only by Type-I edges holds its
-    parent layer's ``alpha`` and ``beta``, and at a repeated coordinate it is
-    a copy of its parent's record, forward tables (``w1`` through
-    ``upd_alpha``) included.  ``walk`` and ``pfail`` are each layer's own,
-    a copy's too.  Every array is read-only, so no write can reach several
-    layers.  A state's total Type-III mass is ``res_p.sum(axis=1)``, summed
-    where read.
+    parent layer's ``alpha`` and ``beta``, and at a repeated coordinate the
+    DAG holds its parent's record itself again, so a record holds nothing
+    that differs by depth.  Every array is read-only, so no write can reach
+    several layers.  A state's total Type-III mass is ``res_p.sum(axis=1)``,
+    summed where read.
     A layer that every path fails before holds no state (``M = 0``).
     """
 
@@ -111,11 +110,10 @@ class _Layer:
     w2: np.ndarray | None = None  # (M, q) Type-II weight per value
     res_p: np.ndarray | None = None  # (M, q) unmatched P-side mass per value
     res_q: np.ndarray | None = None  # (M, q)
-    child1: np.ndarray | None = None  # (M,) row of the shared Type-I child, -1 if none
-    child2: np.ndarray | None = None  # (M, q) row of the Type-II child per value
+    # (M, q + 1) child rows: column 0 the shared Type-I child, column 1 + c
+    # the Type-II child at value c; -1 where there is none.
+    children: np.ndarray | None = None
     upd_alpha: np.ndarray | None = None  # (M, k1, q) reweighted P-side per value
-    walk: np.ndarray | None = None  # (M, 3q) cumsum of [w1 pf(child1) | w2 pf(child2) | res_p]
-    pfail: np.ndarray | None = None  # (M,) probability that the coupling fails from here
 
     @property
     def size(self) -> int:
@@ -131,13 +129,18 @@ class CouplingDag:
     """Explicit state graph of the recursive coupling of two mixtures.
 
     Built whole by :func:`build_dag` and read-only afterwards; all queries
-    may run concurrently.
+    may run concurrently.  ``_layers[d]`` is the record of layer ``d + 1``,
+    which several depths may share; ``_pfail[d]`` and ``_walk[d]`` are
+    depth ``d``'s own.
     """
 
-    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer]):
+    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer], pfail: list, walk: list):
         self.mix_p = mix_p
         self.mix_q = mix_q
         self._layers = layers
+        self._pfail = pfail  # (M,) per depth: probability that the coupling fails from here
+        # (M, 3q) per depth but the last: cumsum of [w1 pf(I child) | w2 pf(II child) | res_p]
+        self._walk = walk
 
     # -- basic shape ------------------------------------------------------
 
@@ -186,7 +189,7 @@ class CouplingDag:
     # -- state / transition views ----------------------------------------
 
     def _path_keys(self) -> list[list[tuple[int, ...]]]:
-        """Each state's first-created path key, derived from the child tables.
+        """Each state's first-created path key, derived from the child table.
 
         A state's last edge is its first occurrence among the layer's edge
         targets in creation order (Type-I by parent, then Type-II by
@@ -194,9 +197,10 @@ class CouplingDag:
         """
         keys: list[list[tuple[int, ...]]] = [[()]]
         for lay in self._layers[:-1]:
-            par1 = np.flatnonzero(lay.child1 >= 0)
-            par2, c2 = np.nonzero(lay.child2 >= 0)
-            targets = np.concatenate([lay.child1[par1], lay.child2[par2, c2]])
+            child1, child2 = lay.children[:, 0], lay.children[:, 1:]
+            par1 = np.flatnonzero(child1 >= 0)
+            par2, c2 = np.nonzero(child2 >= 0)
+            targets = np.concatenate([child1[par1], child2[par2, c2]])
             parents = np.concatenate([par1, par2]).tolist()
             symbols = [0] * par1.size + (c2 + 1).tolist()
             _, first = np.unique(targets, return_index=True)
@@ -217,15 +221,15 @@ class CouplingDag:
             nxt = keys[depth + 1]
             totals = lay.res_p.sum(axis=1)
             for m in range(lay.size):
-                src = keys[depth][m]
+                src, kids = keys[depth][m], lay.children[m].tolist()
                 for c in range(self.q):
                     w = float(lay.w1[m, c])
                     if w > 0.0:
-                        yield Transition(src, TransitionKind.TYPE_I, c, w, nxt[int(lay.child1[m])])
+                        yield Transition(src, TransitionKind.TYPE_I, c, w, nxt[kids[0]])
                 for c in range(self.q):
                     w = float(lay.w2[m, c])
                     if w > 0.0:
-                        yield Transition(src, TransitionKind.TYPE_II, c, w, nxt[int(lay.child2[m, c])])
+                        yield Transition(src, TransitionKind.TYPE_II, c, w, nxt[kids[c + 1]])
                 total = float(totals[m])
                 if total > 0.0:
                     for c in range(self.q):
@@ -244,8 +248,8 @@ class CouplingDag:
         """Failure probability per state, keyed by path key (sink excluded)."""
         return {
             key: pf
-            for lay, keys in zip(self._layers, self._path_keys())
-            for key, pf in zip(keys, lay.pfail.tolist())
+            for pfail, keys in zip(self._pfail, self._path_keys())
+            for key, pf in zip(keys, pfail.tolist())
         }
 
     def statistics(self) -> dict:
@@ -367,12 +371,6 @@ def _reweighted(
     return np.divide(num, den, out=out, where=~deg & (den > 0.0))
 
 
-def _upd_alpha_at(lay: _Layer, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``lay.upd_alpha[rows, :, c]``, read by flat index: ``(T, k1)``."""
-    _, k1, qq = lay.upd_alpha.shape
-    return lay.upd_alpha.take((rows * (k1 * qq) + c)[:, None] + np.arange(0, k1 * qq, qq))
-
-
 def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> CouplingDag:
     """Expand the recursive coupling of ``p`` and ``q`` breadth-first by layer.
 
@@ -397,17 +395,17 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
 
     A layer whose every state has a Type-I edge and none has a Type-II edge
     keeps every reweighting, so the next layer reuses its ``alpha`` and
-    ``beta`` arrays with ``child1 = arange(M)``; its rows are already
+    ``beta`` arrays with Type-I children ``arange(M)``; its rows are already
     pairwise distinct, so the merge is skipped.  When the next coordinate's
     marginals are byte-equal to this one's in every component, the next
-    layer's forward tables are the same function of the same inputs, so a
-    carried layer at a repeated coordinate is a copy of its parent's record
-    and carries its states over again.  Either way the tables hold exactly
+    layer's forward step is the same function of the same inputs, so the
+    DAG holds this same record at each repeated coordinate that follows,
+    and the states carry over again.  Either way the tables hold exactly
     the bytes a full step would compute.
 
-    After the last layer, one backward pass fills each state's failure
-    probability ``pfail`` and the cumulative weights ``walk`` of the
-    failure-conditioned walk, one layer at a time, copies included.  All
+    After the last layer, one backward pass fills each depth's failure
+    probabilities and the cumulative weights of its failure-conditioned
+    walk, one depth at a time, a shared record's depths each included.  All
     stored arrays are then made read-only.
 
     Parameters
@@ -470,19 +468,19 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         has1 = lay.w1.sum(axis=1) > 0.0
         n1 = int(has1.sum())
         par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
-        lay.child2 = np.full((m_here, qq), -1, dtype=np.int64)
+        lay.children = np.full((m_here, qq + 1), -1, dtype=np.int64)
         # Only Type-I edges: every state passes on with its reweighting.
         # A layer's rows are pairwise distinct (merged or carried over),
         # so the merge would keep every row in place; it is skipped.
         carry = n1 == m_here and par2.size == 0
         stop = depth + 1
         if carry:
-            lay.child1 = np.arange(m_here)
+            lay.children[:, 0] = np.arange(m_here)
             # The states pass on again over the repeated coordinates that
-            # follow, each layer a copy of this record.
+            # follow, each of which holds this same record.
             while repeat[stop]:
                 stop += 1
-            children = [replace(lay) for _ in range(depth + 1, stop)] + [_Layer(alpha=a, beta=b)]
+            new_layers = [lay] * (stop - depth - 1) + [_Layer(alpha=a, beta=b)]
         else:
             # Children in creation order: Type-I children by parent, then
             # Type-II children by (parent, value).  Only the Type-II
@@ -491,14 +489,13 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
                 b[par2], qj[:, c2].T,
                 ell[par2, c2, None], qbar[par2, c2, None], deg_q[par2, c2, None],
             )
-            alpha = np.concatenate([a[has1], _upd_alpha_at(lay, par2, c2)], axis=0)
+            alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
             beta = np.concatenate([b[has1], upd_beta], axis=0)
             keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
-            lay.child1 = np.full(m_here, -1, dtype=np.int64)
-            lay.child1[has1] = index[:n1]
-            lay.child2[par2, c2] = index[n1:]
-            children = [_Layer(alpha=alpha[keep], beta=beta[keep])]
-        for child in children:
+            lay.children[has1, 0] = index[:n1]
+            lay.children[par2, c2 + 1] = index[n1:]
+            new_layers = [_Layer(alpha=alpha[keep], beta=beta[keep])]
+        for child in new_layers:
             count += child.size
             if max_states is not None and count > max_states:
                 raise TooLarge(
@@ -507,24 +504,20 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
             layers.append(child)
         depth = stop
 
-    layers[-1].pfail = np.zeros(layers[-1].size)
-    record = None
+    pfail, walk = [None] * n + [np.zeros(layers[-1].size)], [None] * n
     for depth in range(n - 1, -1, -1):
         lay = layers[depth]
-        if record is None or record[0] is not lay.w1:  # a layer's copies share its tables
-            children = np.concatenate([lay.child1[:, None], lay.child2], axis=1)
-            record = lay.w1, children, lay.w1.sum(axis=1), lay.res_p.sum(axis=1)
-        _, children, w1_sum, res_sum = record
-        pf = _gather(layers[depth + 1].pfail, children)
+        if lay is not layers[depth + 1]:  # a shared record's row sums carry over
+            w1_sum, res_sum = lay.w1.sum(axis=1), lay.res_p.sum(axis=1)
+        pf = _gather(pfail[depth + 1], lay.children)
         pf1, pf2 = pf[:, 0], lay.w2 * pf[:, 1:]
-        lay.pfail = w1_sum * pf1 + pf2.sum(axis=1) + res_sum
+        pfail[depth] = w1_sum * pf1 + pf2.sum(axis=1) + res_sum
         slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
-        lay.walk = np.cumsum(slots, axis=1)
-    for lay in layers:
-        for table in vars(lay).values():
-            if table is not None:
-                table.flags.writeable = False
-    return CouplingDag(p, q, layers)
+        walk[depth] = np.cumsum(slots, axis=1)
+    for table in [*pfail, *walk, *(t for lay in layers for t in vars(lay).values())]:
+        if table is not None:
+            table.flags.writeable = False
+    return CouplingDag(p, q, layers, pfail, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +532,7 @@ def failure_probability(dag: CouplingDag) -> float:
     at least the total variation distance of the two mixtures (coupling
     inequality).
     """
-    return float(dag._layers[0].pfail[0])
+    return float(dag._pfail[0][0])
 
 
 # Configurations per failure_masses call in failure_mass_table, and draws per
@@ -593,11 +586,11 @@ def failure_masses(dag: CouplingDag, sigmas: Sequence[Sequence[int]]) -> np.ndar
         if depth == n - 1:  # nothing reads the triples of the terminal layer
             break
         w1 = lay.w1.take(cell)
-        child2 = lay.child2.take(cell)
+        child2 = lay.children.take(cell + rows + 1)  # (row, 1 + sigma_j) in children
         go1, go2 = w1 > 0.0, child2 >= 0
         idx = np.concatenate([idx[go1], idx[go2]])
         reach = np.concatenate([reach[go1] * w1[go1], reach[go2] * lay.w2.take(cell[go2])])
-        rows = np.concatenate([lay.child1.take(rows[go1]), child2[go2]])
+        rows = np.concatenate([lay.children.take(rows[go1] * (qq + 1)), child2[go2]])
     total = tails[:, 0].copy()
     for s in range(1, k1):
         total += tails[:, s]
@@ -682,16 +675,17 @@ def sample_failed_trajectories(
             out[failed, depth] = _pick_rows(u[failed, depth + 1], cum_comp[component, depth])
         if not walking.size:
             continue
-        band, c = np.divmod(_pick_rows(u[walking, depth], lay.walk[rows]), qq)
+        band, c = np.divmod(_pick_rows(u[walking, depth], dag._walk[depth][rows]), qq)
         out[walking, depth] = c
         fail = band == 2
         if fail.any():
-            weights = np.cumsum(_upd_alpha_at(lay, rows[fail], c[fail]), axis=1)
+            weights = np.cumsum(lay.upd_alpha[rows[fail], :, c[fail]], axis=1)
             failed = np.concatenate([failed, walking[fail]])
             component = np.concatenate([component, _pick_rows(u[walking[fail], depth + 1], weights)])
             stay = ~fail
             walking, rows, band, c = walking[stay], rows[stay], band[stay], c[stay]
-        rows = np.where(band == 0, lay.child1.take(rows), lay.child2.take(rows * qq + c))
+        # Column 0 of children for a Type-I edge (band 0), column 1 + c for Type-II.
+        rows = lay.children.take(rows * (qq + 1) + band * (c + 1))
     if walking.size:
         raise FactViolation(f"{walking.size} of {count} draws never reached the failure sink")
     return out

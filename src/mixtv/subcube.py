@@ -76,7 +76,7 @@ def classify_subcube(m: Mixture) -> SubcubeProfile:
     if bad.any():
         s, i = np.argwhere(bad)[0]
         raise NotASubcube(
-            f"component {s}, coordinate {i + 1}: marginal {marg1[s, i]!r} "
+            f"component {s}, coordinate {i + 1}: marginal {float(marg1[s, i])!r} "
             "is not 0, 1/2, or 1"
         )
     return SubcubeProfile(

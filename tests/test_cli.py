@@ -127,6 +127,14 @@ class TestExactAndBrute:
         assert code == 3
         assert json.loads(err)["error"] == "validation"
 
+    def test_exact_subcube_names_the_bad_marginal_as_a_float(self, capsys):
+        args = ["exact-subcube", "--input", "instances/smoke-general-n2q2.json"]
+        code, _, err = run_cli(capsys, args)
+        assert code == 3
+        assert json.loads(err)["detail"] == (
+            "component 0, coordinate 1: marginal 0.5192070886107825 is not 0, 1/2, or 1"
+        )
+
     def test_exact_subcube_size_guard(self, capsys, tmp_path):
         p, q = mx.random_instance(3, 2, 20, 20, seed=0, family="subcube")
         path = write_instance(tmp_path / "k40.json", p, q)

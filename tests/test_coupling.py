@@ -46,8 +46,8 @@ def dense_failure_mass(dag, sigma):
     psi = np.zeros(dag._layers[-1].size)
     for depth in range(dag.n - 1, -1, -1):
         lay, c = dag._layers[depth], sigma[depth]
-        t1 = lay.w1[:, c] * coupling._gather(psi, lay.child1)
-        t2 = lay.w2[:, c] * coupling._gather(psi, lay.child2[:, c])
+        t1 = lay.w1[:, c] * coupling._gather(psi, lay.children[:, 0])
+        t2 = lay.w2[:, c] * coupling._gather(psi, lay.children[:, 1:][:, c])
         psi = t1 + t2 + lay.res_p[:, c] * (lay.upd_alpha[:, :, c] @ suffix[:, depth + 1])
     return float(psi[0])
 
@@ -72,11 +72,11 @@ def per_layer_failure_masses(dag, sigmas):
         for s in range(comp.shape[0]):
             tails[:, s] += np.bincount(idx, weights=failed * upd[:, s], minlength=n_cfg)
         w1 = lay.w1[rows, c]
-        child2 = lay.child2[rows, c]
+        child2 = lay.children[:, 1:][rows, c]
         go1, go2 = w1 > 0.0, child2 >= 0
         idx = np.concatenate([idx[go1], idx[go2]])
         reach = np.concatenate([reach[go1] * w1[go1], reach[go2] * lay.w2[rows[go2], c[go2]]])
-        rows = np.concatenate([lay.child1[rows[go1]], child2[go2]])
+        rows = np.concatenate([lay.children[:, 0][rows[go1]], child2[go2]])
     total = tails[:, 0].copy()
     for s in range(1, comp.shape[0]):
         total += tails[:, s]
@@ -117,12 +117,12 @@ def scalar_trajectory(dag, rng, failures=None):
     out, depth, row = [], 0, 0
     while True:
         lay = dag._layers[depth]
-        band, c = divmod(pick_index(rng, lay.walk[row]), dag.q)
+        band, c = divmod(pick_index(rng, dag._walk[depth][row]), dag.q)
         out.append(c)
         if band == 0:
-            row = int(lay.child1[row])
+            row = int(lay.children[:, 0][row])
         elif band == 1:
-            row = int(lay.child2[row, c])
+            row = int(lay.children[:, 1:][row, c])
         else:
             if failures is not None:
                 failures.append(depth)
@@ -175,10 +175,10 @@ def windowed_pair(seed, n=100, k=3, fixed=3, tilt=0.0):
 
 def shared_runs(dag):
     """``(start, stop)`` of each maximal range of at least two layers that
-    share one forward record, found by the identity of their tables."""
+    share one forward record, found by the identity of their records."""
     layers, runs, start = dag._layers, [], 0
     for depth in range(1, dag.n + 1):
-        if depth == dag.n or layers[depth].w1 is not layers[depth - 1].w1:
+        if depth == dag.n or layers[depth] is not layers[depth - 1]:
             if depth - start > 1:
                 runs.append((start, depth))
             start = depth
@@ -262,7 +262,7 @@ class TestUpdateWeights:
         dag = mx.build_dag(p, q)
         np.testing.assert_array_equal(dag._layers[0].upd_alpha[0, :, 0], [1.0, 0.0])
         child = dag._layers[1]
-        row = dag._layers[0].child2[0, 0]
+        row = dag._layers[0].children[:, 1:][0, 0]
         np.testing.assert_array_equal(child.alpha[row], [1.0, 0.0])
         np.testing.assert_array_equal(child.beta[row], [1.0])
 
@@ -282,7 +282,7 @@ class TestUpdateWeights:
         q = mixture([1.0], [[[0.9, 0.1]]])
         root = mx.build_dag(p, q)._layers[0]
         np.testing.assert_array_equal(root.upd_alpha[0, :, 0], [0.5, 0.5])
-        assert root.w2[0, 0] == 0.0 and root.child2[0, 0] == -1
+        assert root.w2[0, 0] == 0.0 and root.children[:, 1:][0, 0] == -1
 
     def test_minimizer_gets_exact_zero(self):
         p, q = mx.random_instance(4, 3, 3, 3, seed=8)
@@ -290,8 +290,9 @@ class TestUpdateWeights:
         edges = 0
         for depth, lay in enumerate(dag._layers[:-1]):
             child = dag._layers[depth + 1]
-            for par, c in zip(*np.nonzero(lay.child2 >= 0)):
-                row = lay.child2[par, c]
+            child2 = lay.children[:, 1:]
+            for par, c in zip(*np.nonzero(child2 >= 0)):
+                row = child2[par, c]
                 was = np.concatenate([lay.alpha[par], lay.beta[par]]) > 0.0
                 now = np.concatenate([child.alpha[row], child.beta[row]])
                 assert (now[was] == 0.0).any()
@@ -497,9 +498,9 @@ class TestDagInvariants:
 
     def test_walk_rows_end_at_the_failure_probability(self, random_dags):
         for _, _, dag in random_dags:
-            for lay in dag._layers[:-1]:
-                np.testing.assert_allclose(lay.walk[:, -1], lay.pfail, rtol=1e-12, atol=0.0)
-                assert (np.diff(lay.walk, axis=1) >= 0.0).all()
+            for walk, pfail in zip(dag._walk, dag._pfail):
+                np.testing.assert_allclose(walk[:, -1], pfail, rtol=1e-12, atol=0.0)
+                assert (np.diff(walk, axis=1) >= 0.0).all()
 
     def test_queries_read_the_tables_build_dag_filled(self, monkeypatch):
         # build_dag runs the backward pass; no query may run it again.
@@ -722,12 +723,13 @@ def assert_tables_fit_their_layer(p, q, dag):
             continue
         upd_beta = plain_reweighted(b, qj, ell, qbar, deg_q)
         has1 = lay.w1.sum(axis=1) > 0.0
-        assert_same_bits(child.alpha[lay.child1[has1]], a[has1])
-        assert_same_bits(child.beta[lay.child1[has1]], b[has1])
+        child1, child2 = lay.children[:, 0], lay.children[:, 1:]
+        assert_same_bits(child.alpha[child1[has1]], a[has1])
+        assert_same_bits(child.beta[child1[has1]], b[has1])
         par2, c2 = np.nonzero(t2)
-        assert (lay.child2 >= 0).sum() == par2.size
-        assert_same_bits(child.alpha[lay.child2[par2, c2]], upd_alpha[par2, :, c2])
-        assert_same_bits(child.beta[lay.child2[par2, c2]], upd_beta[par2, :, c2])
+        assert (child2 >= 0).sum() == par2.size
+        assert_same_bits(child.alpha[child2[par2, c2]], upd_alpha[par2, :, c2])
+        assert_same_bits(child.beta[child2[par2, c2]], upd_beta[par2, :, c2])
 
 
 def signed_zero_pair():
@@ -774,10 +776,11 @@ class TestCarryOver:
         assert len(runs) > 20
         layers = dag._layers
         for j in runs:
-            lay, prev = layers[j], layers[j - 1]
-            assert lay.alpha is prev.alpha and lay.beta is prev.beta
-            assert lay.w1 is prev.w1 and lay.upd_alpha is prev.upd_alpha
-            assert layers[j + 1].alpha is lay.alpha
+            assert layers[j] is layers[j - 1]
+            assert layers[j + 1].alpha is layers[j].alpha
+            # The failure and walk tables are each depth's own.
+            assert not np.shares_memory(dag._pfail[j], dag._pfail[j - 1])
+            assert not np.shares_memory(dag._walk[j], dag._walk[j - 1])
         assert_tables_fit_their_layer(p, q, dag)
 
     def test_agreeing_coordinates_with_different_rows_get_their_own_tables(self):
@@ -825,6 +828,8 @@ class TestCarryOver:
         for lay in dag._layers:
             for table in vars(lay).values():
                 assert table is None or not table.flags.writeable
+        for table in [*dag._pfail, *dag._walk]:
+            assert not table.flags.writeable
 
     @pytest.mark.parametrize("name,seed", sorted(PINNED_DEEP_ESTIMATES))
     def test_estimates_are_bit_identical_to_the_per_layer_build(self, name, seed):
@@ -1103,7 +1108,7 @@ class TestSampleFailedTrajectory:
             p, q = mx.random_instance(3, 2, 3, 2, seed=8 if family == "general" else 3, family=family)
         dag = mx.build_dag(p, q)
         if family == "subcube":  # tied walk-table and component rows
-            assert any((np.diff(lay.walk, axis=1) == 0.0).any() for lay in dag._layers[:-1])
+            assert any((np.diff(walk, axis=1) == 0.0).any() for walk in dag._walk)
             assert any((lay.upd_alpha[:, 1:] == 0.0).any() for lay in dag._layers[:-1])
         width = p.n + 1
         script = [u for combo in product(EDGE_DOUBLES, repeat=width) for u in combo]
@@ -1126,8 +1131,7 @@ class TestSampleFailedTrajectory:
         # All weight on the Type-I edge at value 0, whose child exists at
         # every layer: no draw reaches the failure sink.
         dag = mx.build_dag(uniform2, point00)
-        for lay in dag._layers[:-1]:
-            monkeypatch.setattr(lay, "walk", np.ones_like(lay.walk))
+        monkeypatch.setattr(dag, "_walk", [np.ones_like(walk) for walk in dag._walk])
         with pytest.raises(mx.FactViolation, match="never reached the failure sink"):
             mx.sample_failed_trajectories(dag, np.random.default_rng(0), 5)
 
