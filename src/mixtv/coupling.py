@@ -176,10 +176,12 @@ class CouplingDag:
 
     @property
     def num_transitions(self) -> int:
-        total = 0
+        total, count, prev = 0, 0, None
         for lay in self._layers[:-1]:
-            total += int((lay.w1 > 0.0).sum()) + int((lay.w2 > 0.0).sum())
-            total += int(((lay.res_p > 0.0).sum(axis=1) * (lay.res_q > 0.0).sum(axis=1)).sum())
+            if lay is not prev:  # the depths of a shared record have one count
+                prev, count = lay, int((lay.w1 > 0.0).sum()) + int((lay.w2 > 0.0).sum())
+                count += int(((lay.res_p > 0.0).sum(axis=1) * (lay.res_q > 0.0).sum(axis=1)).sum())
+            total += count
         return total
 
     def state_bound(self) -> int:
@@ -216,7 +218,9 @@ class CouplingDag:
 
     def iter_transitions(self) -> Iterator[Transition]:
         """All materialized transitions; weights of a state sum to 1."""
-        keys = self._path_keys()
+        return self._transitions(self._path_keys())
+
+    def _transitions(self, keys: list[list[tuple[int, ...]]]) -> Iterator[Transition]:
         for depth, lay in enumerate(self._layers[:-1]):
             nxt = keys[depth + 1]
             totals = lay.res_p.sum(axis=1)
@@ -230,55 +234,52 @@ class CouplingDag:
                     w = float(lay.w2[m, c])
                     if w > 0.0:
                         yield Transition(src, TransitionKind.TYPE_II, c, w, nxt[kids[c + 1]])
-                total = float(totals[m])
-                if total > 0.0:
-                    for c in range(self.q):
-                        rp = float(lay.res_p[m, c])
-                        if rp <= 0.0:
-                            continue
-                        for cc in range(self.q):
-                            rq = float(lay.res_q[m, cc])
-                            if rq <= 0.0:
-                                continue
+                total = float(totals[m])  # positive wherever some res_p is
+                for c in range(self.q):
+                    rp = float(lay.res_p[m, c])
+                    if rp <= 0.0:
+                        continue
+                    for cc in range(self.q):
+                        rq = float(lay.res_q[m, cc])
+                        if rq > 0.0:
                             yield Transition(
                                 src, TransitionKind.TYPE_III, (c, cc), rp * rq / total, None
                             )
 
     def pfail_map(self) -> dict[tuple[int, ...], float]:
         """Failure probability per state, keyed by path key (sink excluded)."""
-        return {
-            key: pf
-            for pfail, keys in zip(self._pfail, self._path_keys())
-            for key, pf in zip(keys, pfail.tolist())
-        }
+        keys = [key for layer in self._path_keys() for key in layer]
+        return dict(zip(keys, np.concatenate(self._pfail).tolist()))
 
     def statistics(self) -> dict:
         """Summary used by the CLI: counts, per-layer histogram, discrepancy."""
+        sizes, reachable = self.layer_sizes, self.failure_reachable
         return {
             "n": self.n,
             "q": self.q,
             "k1": self.k1,
             "k2": self.k2,
-            "num_states": self.num_states,
+            "num_states": sum(sizes) + int(reachable),
             "num_transitions": self.num_transitions,
-            "layer_sizes": self.layer_sizes,
+            "layer_sizes": sizes,
             "state_bound": self.state_bound(),
-            "failure_reachable": self.failure_reachable,
+            "failure_reachable": reachable,
             "discrepancy": failure_probability(self),
         }
 
     def to_dict(self) -> dict:
         """Full diagnostic dump (states, transitions, failure table)."""
-        pfail = self.pfail_map()
+        keys = self._path_keys()
         states = [
             {
-                "layer": st.layer,
-                "path_key": list(st.path_key),
-                "alpha_bar": st.alpha_bar.tolist(),
-                "beta_bar": st.beta_bar.tolist(),
-                "p_fail": pfail[st.path_key],
+                "layer": depth + 1,
+                "path_key": list(key),
+                "alpha_bar": lay.alpha[m].tolist(),
+                "beta_bar": lay.beta[m].tolist(),
+                "p_fail": pf,
             }
-            for st in self.iter_states()
+            for depth, (lay, pfail) in enumerate(zip(self._layers, self._pfail))
+            for m, (key, pf) in enumerate(zip(keys[depth], pfail.tolist()))
         ]
         transitions = [
             {
@@ -288,7 +289,7 @@ class CouplingDag:
                 "weight": t.weight,
                 "target": None if t.target is None else list(t.target),
             }
-            for t in self.iter_transitions()
+            for t in self._transitions(keys)
         ]
         return {"statistics": self.statistics(), "states": states, "transitions": transitions}
 
@@ -333,21 +334,23 @@ def _merge_equal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep, (np.cumsum(keep) - 1)[rep]
 
 
-def _active_bounds(w: np.ndarray, marg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-value min and max of one side's marginals over its active components, ``(M, q)`` each.
+def _side_bounds(w: np.ndarray, marg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One side's aggregate marginal and per-value bounds over its active components, ``(M, q)`` each.
 
-    ``w`` is the side's ``(M, k)`` weights and ``marg`` its ``(k, q)``
-    marginals at the coordinate.  One ``np.minimum`` and one ``np.maximum``
-    pass per component, in component order, each on ``(M, q)`` arrays; a
-    state with no active component gets ``inf`` and ``-inf``.
+    ``w`` is the side's ``(M, k)`` weights, ``marg`` its ``(k, q)`` marginals at the
+    coordinate.  One pass per component, in component order, adds ``w[:, s] * marg[s]``
+    elementwise to component 0's term, so no BLAS kernel sets the aggregate's bits;
+    a state with no active component gets the bounds ``inf`` and ``-inf``.
     """
-    lo = np.full((w.shape[0], marg.shape[1]), np.inf)
-    hi = np.full_like(lo, -np.inf)
+    bar = w[:, 0, None] * marg[0]
+    lo, hi = np.full_like(bar, np.inf), np.full_like(bar, -np.inf)
     for s, row in enumerate(marg):
+        if s:
+            bar += w[:, s, None] * row
         act = (w[:, s] > 0.0)[:, None]
         np.minimum(lo, np.where(act, row, np.inf), out=lo)
         np.maximum(hi, np.where(act, row, -np.inf), out=hi)
-    return lo, hi
+    return bar, lo, hi
 
 
 def _reweighted(
@@ -387,11 +390,10 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     reweightings are byte-equal.
 
     A stepped layer's work is on ``(M, q)`` arrays except for the stored
-    P-side table ``upd_alpha``: the per-value bounds over the active
-    components take one ``np.minimum``/``np.maximum`` pass per component,
-    in component order (:func:`_active_bounds`), and the Q side is
-    reweighted only at the Type-II pairs that become children, since no
-    other Q-side reweighting is read.
+    P-side table ``upd_alpha``: each side's aggregate marginal and bounds
+    take one pass per component, in component order (:func:`_side_bounds`),
+    and the Q side is reweighted only at the Type-II pairs that become
+    children, since no other Q-side reweighting is read.
 
     A layer whose every state has a Type-I edge and none has a Type-II edge
     keeps every reweighting, so the next layer reuses its ``alpha`` and
@@ -442,10 +444,8 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         a, b = lay.alpha, lay.beta
         pj = p.components[:, depth, :]  # (k1, q)
         qj = q.components[:, depth, :]  # (k2, q)
-        pbar = a @ pj  # (M, q)
-        qbar = b @ qj
-        min_p, max_p = _active_bounds(a, pj)
-        min_q, max_q = _active_bounds(b, qj)
+        pbar, min_p, max_p = _side_bounds(a, pj)  # (M, q) each
+        qbar, min_q, max_q = _side_bounds(b, qj)
         ell = np.minimum(min_p, min_q)
 
         # Degeneracy is decided structurally (no active marginal above
