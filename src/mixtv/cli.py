@@ -17,6 +17,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -55,9 +56,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _canonical(obj: Any) -> str:
+def _canonical(obj: Any, default: Callable | None = None) -> str:
     # Documents come from json.load or instance_document and cannot hold cycles.
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), check_circular=False, default=default
+    )
 
 
 @dataclass(frozen=True)
@@ -173,18 +176,43 @@ def _parse_json(data: bytes, path: str) -> Any:
         raise ShapeMismatch(f"{path}: {exc}") from None
 
 
-def _read(data: bytes, path: str) -> tuple[Any, dict[tuple[str, str], memoryview]]:
-    """The document that the file's bytes ``data`` hold, and the canonical texts of its arrays.
+def _digest(doc: Any) -> str | None:
+    """SHA-256 of ``_canonical(doc)``, where each :class:`_Block` in ``doc`` is hashed as its text.
+
+    The encoder writes each block as ``NaN`` and records its text, and the
+    hash is fed the encoding with each block's text where its ``NaN`` was.
+    None if the encoding holds a ``NaN`` that is not a block, as a string or
+    key spelled with escapes (``"\\u004eaN"``) does: it encodes as ``NaN``.
+    """
+    texts: list[memoryview] = []
+
+    def block(value: _Block) -> float:
+        texts.append(value.text)
+        return math.nan
+
+    encoded = _canonical(doc, default=block)
+    pieces = encoded.split("NaN") if texts else [encoded]
+    if len(pieces) != len(texts) + 1:
+        return None
+    sha = hashlib.sha256(pieces[0].encode())
+    for text, piece in zip(texts, pieces[1:]):
+        sha.update(text)
+        sha.update(piece.encode())
+    return sha.hexdigest()
+
+
+def _read(data: bytes, path: str) -> tuple[Any, str]:
+    """The document that the file's bytes ``data`` hold, and its digest.
 
     Only the skeleton of ``data`` (see :func:`_skeleton`) goes through
     ``json.loads`` when each cut block lands as a value of the mixture
-    object ``p`` or ``q_dist``: the block becomes its array, and its text is
-    keyed by (mixture, key) in the returned texts. Otherwise the file is
-    decoded and parsed whole, as ``json.load`` reads it in text mode, and no
-    texts are returned: when :func:`_skeleton` cuts nothing, when a block
-    lands anywhere else or is dropped with a repeated key, and when the
-    skeleton is not UTF-8 or not JSON, so that the error is the one that
-    reading the file raises.
+    object ``p`` or ``q_dist``: the document is hashed with its blocks in it
+    (see :func:`_digest`), and then each block becomes its array. Otherwise
+    the file is decoded and parsed whole, as ``json.load`` reads it in text
+    mode: when :func:`_skeleton` cuts nothing; when the skeleton is not
+    UTF-8 or not JSON, so that the error is the one that reading the file
+    raises; when the encoding holds a ``NaN`` that no block left; and when
+    a block lands anywhere else or is dropped with a repeated key.
     """
     skeleton, blocks = _skeleton(data)
     markers = iter(blocks)
@@ -192,51 +220,19 @@ def _read(data: bytes, path: str) -> tuple[Any, dict[tuple[str, str], memoryview
     def constant(name: str) -> Any:  # each NaN is a cut block, in text order
         return next(markers) if name == "NaN" else float(name)
 
-    if blocks:
-        try:
-            doc = json.loads(skeleton.decode(), parse_constant=constant)
-        except (ValueError, RecursionError):
-            blocks = []
-    if not blocks:
-        doc = _parse_json(data, path)
-    texts = {}
-    for name in _MIXTURES:
-        mixture = doc.get(name) if type(doc) is dict else None
-        if type(mixture) is dict:
-            for key, value in mixture.items():
-                if type(value) is _Block:
-                    mixture[key], texts[name, key] = value.array, value.text
-    if len(texts) < len(blocks):  # blocks elsewhere, or dropped with a duplicate key
-        return _parse_json(data, path), {}
-    return doc, texts
-
-
-def _digest(doc: Any, texts: dict[tuple[str, str], memoryview]) -> str:
-    """SHA-256 of ``_canonical(doc)``, where ``doc[m][key]`` is encoded as ``texts[m, key]``.
-
-    The hash is fed piece by piece. The instance layout is walked with
-    sorted keys: the top-level object, then the mixture objects ``p`` and
-    ``q_dist``, whose values are hashed as their text in ``texts`` or
-    encoded whole.
-    """
-    sha = hashlib.sha256()
-    if type(doc) is not dict:
-        sha.update(_canonical(doc).encode())
-        return sha.hexdigest()
-    sha.update(b"{")
-    for i, key in enumerate(sorted(doc)):
-        value = doc[key]
-        sha.update(f"{',' if i else ''}{_canonical(key)}:".encode())
-        if key in _MIXTURES and type(value) is dict:
-            sha.update(b"{")
-            for j, sub in enumerate(sorted(value)):
-                sha.update(f"{',' if j else ''}{_canonical(sub)}:".encode())
-                sha.update(texts.get((key, sub)) or _canonical(value[sub]).encode())
-            sha.update(b"}")
-        else:
-            sha.update(_canonical(value).encode())
-    sha.update(b"}")
-    return sha.hexdigest()
+    try:
+        doc = json.loads(skeleton.decode(), parse_constant=constant) if blocks else None
+    except (ValueError, RecursionError):
+        doc = None
+    if type(doc) is dict and (digest := _digest(doc)) is not None:
+        mixtures = [m for m in map(doc.get, _MIXTURES) if type(m) is dict]
+        landed = [(m, key) for m in mixtures for key, value in m.items() if type(value) is _Block]
+        if len(landed) == len(blocks):
+            for mixture, key in landed:
+                mixture[key] = mixture[key].array
+            return doc, digest
+    doc = _parse_json(data, path)
+    return doc, _digest(doc)
 
 
 def _load_instance(path: str):
@@ -249,9 +245,8 @@ def _load_instance(path: str):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    doc, texts = _read(data, path)
+    doc, digest = _read(data, path)
     del data
-    digest = _digest(doc, texts)
     p, q = model.parse_instance(doc)
     return p, q, digest
 
@@ -381,7 +376,7 @@ def _cmd_gen(args) -> tuple[str, dict, list[str], str]:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
-    return hashlib.sha256(_canonical(doc).encode()).hexdigest(), result, [], summary
+    return _digest(doc), result, [], summary
 
 
 _COMMANDS: dict[str, Callable] = {

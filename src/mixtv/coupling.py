@@ -223,28 +223,22 @@ class CouplingDag:
     def _transitions(self, keys: list[list[tuple[int, ...]]]) -> Iterator[Transition]:
         for depth, lay in enumerate(self._layers[:-1]):
             nxt = keys[depth + 1]
-            totals = lay.res_p.sum(axis=1)
-            for m in range(lay.size):
-                src, kids = keys[depth][m], lay.children[m].tolist()
-                for c in range(self.q):
-                    w = float(lay.w1[m, c])
+            tables = (lay.w1, lay.w2, lay.res_p, lay.res_q, lay.children, lay.res_p.sum(axis=1))
+            rows = zip(keys[depth], *(table.tolist() for table in tables))
+            for src, w1, w2, res_p, res_q, kids, total in rows:  # total > 0 wherever some res_p is
+                for c, w in enumerate(w1):
                     if w > 0.0:
                         yield Transition(src, TransitionKind.TYPE_I, c, w, nxt[kids[0]])
-                for c in range(self.q):
-                    w = float(lay.w2[m, c])
+                for c, w in enumerate(w2):
                     if w > 0.0:
                         yield Transition(src, TransitionKind.TYPE_II, c, w, nxt[kids[c + 1]])
-                total = float(totals[m])  # positive wherever some res_p is
-                for c in range(self.q):
-                    rp = float(lay.res_p[m, c])
+                for c, rp in enumerate(res_p):
                     if rp <= 0.0:
                         continue
-                    for cc in range(self.q):
-                        rq = float(lay.res_q[m, cc])
+                    for cc, rq in enumerate(res_q):
                         if rq > 0.0:
-                            yield Transition(
-                                src, TransitionKind.TYPE_III, (c, cc), rp * rq / total, None
-                            )
+                            w = rp * rq / total
+                            yield Transition(src, TransitionKind.TYPE_III, (c, cc), w, None)
 
     def pfail_map(self) -> dict[tuple[int, ...], float]:
         """Failure probability per state, keyed by path key (sink excluded)."""
@@ -271,15 +265,9 @@ class CouplingDag:
         """Full diagnostic dump (states, transitions, failure table)."""
         keys = self._path_keys()
         states = [
-            {
-                "layer": depth + 1,
-                "path_key": list(key),
-                "alpha_bar": lay.alpha[m].tolist(),
-                "beta_bar": lay.beta[m].tolist(),
-                "p_fail": pf,
-            }
+            {"layer": depth + 1, "path_key": list(key), "alpha_bar": a, "beta_bar": b, "p_fail": pf}
             for depth, (lay, pfail) in enumerate(zip(self._layers, self._pfail))
-            for m, (key, pf) in enumerate(zip(keys[depth], pfail.tolist()))
+            for key, a, b, pf in zip(keys[depth], lay.alpha.tolist(), lay.beta.tolist(), pfail.tolist())
         ]
         transitions = [
             {

@@ -195,6 +195,34 @@ def assert_failures_cover_the_runs(dag, failures):
     assert any(start <= f < stop - 1 for f in failures for start, stop in runs)
 
 
+def scalar_transitions(dag):
+    """The DAG's transitions as the views read them entry by entry, one numpy scalar at a time."""
+    keys = dag._path_keys()
+    for depth, lay in enumerate(dag._layers[:-1]):
+        nxt = keys[depth + 1]
+        totals = lay.res_p.sum(axis=1)
+        for m in range(lay.size):
+            src, kids = keys[depth][m], lay.children[m].tolist()
+            for c in range(dag.q):
+                w = float(lay.w1[m, c])
+                if w > 0.0:
+                    yield mx.Transition(src, coupling.TransitionKind.TYPE_I, c, w, nxt[kids[0]])
+            for c in range(dag.q):
+                w = float(lay.w2[m, c])
+                if w > 0.0:
+                    yield mx.Transition(src, coupling.TransitionKind.TYPE_II, c, w, nxt[kids[c + 1]])
+            total = float(totals[m])
+            for c in range(dag.q):
+                rp = float(lay.res_p[m, c])
+                if rp <= 0.0:
+                    continue
+                for cc in range(dag.q):
+                    rq = float(lay.res_q[m, cc])
+                    if rq > 0.0:
+                        w = rp * rq / total
+                        yield mx.Transition(src, coupling.TransitionKind.TYPE_III, (c, cc), w, None)
+
+
 def path_key_count(p, q):
     """States of the coupling tree with one state per path, by a DP over
     (active P-components, active Q-components) pairs: which children a state
@@ -466,6 +494,18 @@ class TestDagInvariants:
             assert set(weight_out) == non_terminal
             for total in weight_out.values():
                 assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_transitions_match_the_scalar_reads_bit_for_bit(self, random_dags):
+        wide = mx.random_instance(3, 4, 3, 2, seed=5)  # q = 4, which the fixture lacks
+        kinds = set()
+        for _, _, dag in [*random_dags, (*wide, mx.build_dag(*wide))]:
+            got, want = (
+                [(t.source, t.kind, t.label, type(t.weight), t.weight.hex(), t.target) for t in views]
+                for views in (dag.iter_transitions(), scalar_transitions(dag))
+            )
+            assert got == want
+            kinds.update(t[1] for t in got)
+        assert kinds == set(coupling.TransitionKind)
 
     def test_pfail_recursion(self, random_dags):
         for _, _, dag in random_dags:
