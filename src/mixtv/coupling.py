@@ -15,19 +15,19 @@ states is a layered DAG with three transition kinds:
 * Type-III -- mismatch ``(c, c')``, absorbing failure sink.
 
 :func:`build_dag` returns the DAG complete: after the forward pass over the
-layers, one backward pass fills each state's failure probability and the
-cumulative edge weights of the failure-conditioned walk, so the discrepancy
-is a table read.  The forward pass does full work only at layers where the
-states change: a layer whose states take only Type-I edges passes them on
-as they are, and at a coordinate whose marginals repeat the previous one's
-the DAG holds that layer's record again; the failure and walk tables are
-kept per depth.  Layers store no path keys; the views derive them.
-The backward pass and both block queries take one step per layer.  The
-sampling query walks a block of failure-conditioned draws down the DAG
-together, and the evaluation query is one forward pass per block of
-configurations over the states whose paths agree with them.  A direct
-trajectory simulator (:func:`simulate_coupling`) provides an independent
-path for statistical cross-validation of the DAG.
+layers, one backward pass fills each state's failure probability, so the
+discrepancy is a table read.  The forward pass does full work only at
+layers where the states change: a layer whose states take only Type-I
+edges passes them on as they are, and at a coordinate whose marginals
+repeat the previous one's the DAG holds that layer's record again; the
+failure table is kept per depth.  Layers store no path keys; the views
+derive them.  The backward pass and both block queries take one step per
+layer.  The sampling query walks a block of failure-conditioned draws down
+the DAG together, weighing each edge of the rows it stands on by the
+failure probability of the edge's target, and the evaluation query is one
+forward pass per block of configurations over the states whose paths agree
+with them.  A direct trajectory simulator (:func:`simulate_coupling`)
+provides an independent path for statistical cross-validation of the DAG.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +60,7 @@ class TransitionKind(str, Enum):
     TYPE_III = "III"
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """A reachable coupling state: coordinate layer plus current reweightings.
 
     A state is its layer plus the bytes of its reweightings: paths that
@@ -81,8 +80,7 @@ class State:
         return int((self.alpha_bar > 0.0).sum() + (self.beta_bar > 0.0).sum())
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: tuple[int, ...]
     kind: TransitionKind
     label: int | tuple[int, int]  # value c, or the mismatched pair (c, c')
@@ -130,17 +128,14 @@ class CouplingDag:
 
     Built whole by :func:`build_dag` and read-only afterwards; all queries
     may run concurrently.  ``_layers[d]`` is the record of layer ``d + 1``,
-    which several depths may share; ``_pfail[d]`` and ``_walk[d]`` are
-    depth ``d``'s own.
+    which several depths may share; ``_pfail[d]`` is depth ``d``'s own.
     """
 
-    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer], pfail: list, walk: list):
+    def __init__(self, mix_p: Mixture, mix_q: Mixture, layers: list[_Layer], pfail: list):
         self.mix_p = mix_p
         self.mix_q = mix_q
         self._layers = layers
         self._pfail = pfail  # (M,) per depth: probability that the coupling fails from here
-        # (M, 3q) per depth but the last: cumsum of [w1 pf(I child) | w2 pf(II child) | res_p]
-        self._walk = walk
 
     # -- basic shape ------------------------------------------------------
 
@@ -394,9 +389,8 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     the bytes a full step would compute.
 
     After the last layer, one backward pass fills each depth's failure
-    probabilities and the cumulative weights of its failure-conditioned
-    walk, one depth at a time, a shared record's depths each included.  All
-    stored arrays are then made read-only.
+    probabilities, one depth at a time, a shared record's depths each
+    included.  All stored arrays are then made read-only.
 
     Parameters
     ----------
@@ -492,20 +486,17 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
             layers.append(child)
         depth = stop
 
-    pfail, walk = [None] * n + [np.zeros(layers[-1].size)], [None] * n
+    pfail = [None] * n + [np.zeros(layers[-1].size)]
     for depth in range(n - 1, -1, -1):
         lay = layers[depth]
         if lay is not layers[depth + 1]:  # a shared record's row sums carry over
             w1_sum, res_sum = lay.w1.sum(axis=1), lay.res_p.sum(axis=1)
         pf = _gather(pfail[depth + 1], lay.children)
-        pf1, pf2 = pf[:, 0], lay.w2 * pf[:, 1:]
-        pfail[depth] = w1_sum * pf1 + pf2.sum(axis=1) + res_sum
-        slots = np.concatenate([pf1[:, None] * lay.w1, pf2, lay.res_p], axis=1)
-        walk[depth] = np.cumsum(slots, axis=1)
-    for table in [*pfail, *walk, *(t for lay in layers for t in vars(lay).values())]:
+        pfail[depth] = w1_sum * pf[:, 0] + (lay.w2 * pf[:, 1:]).sum(axis=1) + res_sum
+    for table in [*pfail, *(t for lay in layers for t in vars(lay).values())]:
         if table is not None:
             table.flags.writeable = False
-    return CouplingDag(p, q, layers, pfail, walk)
+    return CouplingDag(p, q, layers, pfail)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +654,11 @@ def sample_failed_trajectories(
             out[failed, depth] = _pick_rows(u[failed, depth + 1], cum_comp[component, depth])
         if not walking.size:
             continue
-        band, c = np.divmod(_pick_rows(u[walking, depth], dag._walk[depth][rows]), qq)
+        # The walked rows' edge weights times p_fail at each edge's target:
+        # [w1 pf(I child) | w2 pf(II child) | res_p], cumulated per row.
+        pf = _gather(dag._pfail[depth + 1], lay.children[rows])
+        slots = np.concatenate([pf[:, :1] * lay.w1[rows], lay.w2[rows] * pf[:, 1:], lay.res_p[rows]], axis=1)
+        band, c = np.divmod(_pick_rows(u[walking, depth], np.cumsum(slots, axis=1)), qq)
         out[walking, depth] = c
         fail = band == 2
         if fail.any():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter, defaultdict
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -110,6 +111,15 @@ def pick_index(rng, cumulative):
     return slot
 
 
+def walk_row(dag, depth, row):
+    """One state's cumulative edge weights in the failure-conditioned walk,
+    ``[w1 pf(I child) | w2 pf(II child) | res_p]``, with ``pf`` the next
+    depth's failure probability of each child and 0 where there is none."""
+    lay, pfail = dag._layers[depth], dag._pfail[depth + 1]
+    pf = np.array([pfail[k] if k >= 0 else 0.0 for k in lay.children[row].tolist()])
+    return np.cumsum(np.concatenate([pf[0] * lay.w1[row], lay.w2[row] * pf[1:], lay.res_p[row]]))
+
+
 def scalar_trajectory(dag, rng, failures=None):
     """The failure-conditioned walk, one scalar pick per layer and per tail
     coordinate; the layer it fails at is appended to ``failures`` if given."""
@@ -117,7 +127,7 @@ def scalar_trajectory(dag, rng, failures=None):
     out, depth, row = [], 0, 0
     while True:
         lay = dag._layers[depth]
-        band, c = divmod(pick_index(rng, dag._walk[depth][row]), dag.q)
+        band, c = divmod(pick_index(rng, walk_row(dag, depth, row)), dag.q)
         out.append(c)
         if band == 0:
             row = int(lay.children[:, 0][row])
@@ -538,25 +548,42 @@ class TestDagInvariants:
 
     def test_walk_rows_end_at_the_failure_probability(self, random_dags):
         for _, _, dag in random_dags:
-            for walk, pfail in zip(dag._walk, dag._pfail):
+            for depth, pfail in enumerate(dag._pfail[:-1]):
+                rows = [walk_row(dag, depth, m) for m in range(pfail.size)]
+                walk = np.array(rows).reshape(pfail.size, 3 * dag.q)
                 np.testing.assert_allclose(walk[:, -1], pfail, rtol=1e-12, atol=0.0)
                 assert (np.diff(walk, axis=1) >= 0.0).all()
 
     def test_queries_read_the_tables_build_dag_filled(self, monkeypatch):
-        # build_dag runs the backward pass; no query may run it again.
+        # build_dag runs the backward pass; no query may run it again or
+        # write the failure tables it filled.
         p, q = mx.random_instance(3, 2, 2, 2, seed=5)
         dag = mx.build_dag(p, q)
+        tables = list(dag._pfail)
+        contents = [table.tobytes() for table in tables]
+
+        def assert_tables_unchanged():
+            assert len(dag._pfail) == len(tables)
+            assert all(now is then for now, then in zip(dag._pfail, tables))
+            assert [table.tobytes() for table in tables] == contents
+            assert not any(table.flags.writeable for table in tables)
 
         def backward_pass_again(*args):
             raise AssertionError("_gather ran after build_dag")
 
-        monkeypatch.setattr(coupling, "_gather", backward_pass_again)
-        discrepancy = mx.failure_probability(dag)
-        assert discrepancy > 0.0
-        assert dag.pfail_map()[()] == discrepancy
-        assert dag.to_dict()["statistics"]["discrepancy"] == discrepancy
-        assert mx.failure_masses(dag, lex_configs(3, 2)).sum() == pytest.approx(discrepancy)
+        with monkeypatch.context() as patch:
+            patch.setattr(coupling, "_gather", backward_pass_again)
+            discrepancy = mx.failure_probability(dag)
+            assert discrepancy > 0.0
+            assert dag.pfail_map()[()] == discrepancy
+            assert_tables_unchanged()
+            assert dag.to_dict()["statistics"]["discrepancy"] == discrepancy
+            assert_tables_unchanged()
+            assert mx.failure_masses(dag, lex_configs(3, 2)).sum() == pytest.approx(discrepancy)
+            assert_tables_unchanged()
+        # The sampler gathers the failure table at the rows it walks.
         assert mx.sample_failed_trajectories(dag, np.random.default_rng(0), 8).shape == (8, 3)
+        assert_tables_unchanged()
 
     def test_build_is_bit_reproducible(self):
         p, q = mx.random_instance(4, 3, 3, 2, seed=13)
@@ -828,9 +855,8 @@ class TestCarryOver:
         for j in runs:
             assert layers[j] is layers[j - 1]
             assert layers[j + 1].alpha is layers[j].alpha
-            # The failure and walk tables are each depth's own.
+            # The failure tables are each depth's own.
             assert not np.shares_memory(dag._pfail[j], dag._pfail[j - 1])
-            assert not np.shares_memory(dag._walk[j], dag._walk[j - 1])
         assert_tables_fit_their_layer(p, q, dag)
 
     def test_agreeing_coordinates_with_different_rows_get_their_own_tables(self):
@@ -878,7 +904,7 @@ class TestCarryOver:
         for lay in dag._layers:
             for table in vars(lay).values():
                 assert table is None or not table.flags.writeable
-        for table in [*dag._pfail, *dag._walk]:
+        for table in dag._pfail:
             assert not table.flags.writeable
 
     @pytest.mark.parametrize("name,seed", sorted(PINNED_DEEP_ESTIMATES))
@@ -899,6 +925,21 @@ class TestCarryOver:
     def test_core_estimates_of_the_benchmark_shape_are_pinned(self, pair, draws):
         got = approx_hex(*CORE_RUN_PAIRS[pair](), 0, draws)
         assert got == PINNED_CORE_RUN_ESTIMATES[pair, draws]
+
+    def test_dag_of_a_long_windowed_pair_stays_small(self):
+        # 58,432 states over 2,000 layers, most of them carried.  The DAG
+        # holds the layer records and one failure table per depth.
+        # Measured peak: 1.14 MB.
+        rng = np.random.default_rng(761)
+        p, q = benchmark_workloads().windowed_subcube_pair(rng, 2000, window=2000, k1=3, k2=3)
+        tracemalloc.start()
+        try:
+            dag = mx.build_dag(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(dag.layer_sizes) == 58_432
+        assert peak < 2_000_000
 
     def test_failure_masses_of_a_long_run_stay_small(self):
         # 100 repeated coordinates after a 5-coordinate core with 1,255 states
@@ -1157,8 +1198,12 @@ class TestSampleFailedTrajectory:
         else:
             p, q = mx.random_instance(3, 2, 3, 2, seed=8 if family == "general" else 3, family=family)
         dag = mx.build_dag(p, q)
-        if family == "subcube":  # tied walk-table and component rows
-            assert any((np.diff(walk, axis=1) == 0.0).any() for walk in dag._walk)
+        if family == "subcube":  # tied walk and component rows
+            assert any(
+                (np.diff(walk_row(dag, depth, m)) == 0.0).any()
+                for depth in range(p.n)
+                for m in range(dag._layers[depth].size)
+            )
             assert any((lay.upd_alpha[:, 1:] == 0.0).any() for lay in dag._layers[:-1])
         width = p.n + 1
         script = [u for combo in product(EDGE_DOUBLES, repeat=width) for u in combo]
@@ -1178,10 +1223,15 @@ class TestSampleFailedTrajectory:
                 mx.sample_failed_trajectories(dag, np.random.default_rng(0), count)
 
     def test_walk_that_never_fails_is_a_fact_violation(self, uniform2, point00, monkeypatch):
-        # All weight on the Type-I edge at value 0, whose child exists at
-        # every layer: no draw reaches the failure sink.
+        # Layers without Type-III mass: every draw takes the Type-I edge at
+        # value 0, whose child exists at every layer, so none reaches the
+        # failure sink.
         dag = mx.build_dag(uniform2, point00)
-        monkeypatch.setattr(dag, "_walk", [np.ones_like(walk) for walk in dag._walk])
+        no_failure = [
+            lay if lay.res_p is None else replace(lay, res_p=np.zeros_like(lay.res_p))
+            for lay in dag._layers
+        ]
+        monkeypatch.setattr(dag, "_layers", no_failure)
         with pytest.raises(mx.FactViolation, match="never reached the failure sink"):
             mx.sample_failed_trajectories(dag, np.random.default_rng(0), 5)
 
