@@ -39,6 +39,9 @@ _WS = b" \t\n\r"
 # 0 for JSON whitespace and one-byte tokens, 1 for every other byte.
 _OTHER = bytes(c not in b"[]{},: \t\n\r" for c in range(256))
 _SLICE = 1 << 20  # bytes that _runs maps at a time
+_OPEN, _CLOSE, _COMMA = b"[],"  # the bytes that _read_block finds separators by
+# The low m bytes of a little-endian 8-byte word, at index m.
+_LOW_BYTES = np.array([(1 << 8 * m) - 1 for m in range(9)], np.uint64)
 # A JSON string: its quotes, and between them any byte but a quote or a
 # backslash, or a backslash and the byte it escapes.
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
@@ -81,6 +84,38 @@ def _runs(data: bytes) -> int:
     return runs
 
 
+def _repeats(byte: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which rows, the bytes ``byte[starts[i]:ends[i]]``, hold the same bytes as the row before.
+
+    The bytes are compared as little-endian 8-byte words, each masked to the
+    bytes left in its row. One pass reads the first word of every row and
+    keeps as candidates the rows as long as the row before and with the same
+    first word; each further pass reads the next word of the candidates and
+    of the rows before them, and drops those whose words differ. A row that
+    ends within 8 bytes of the end of ``byte`` is no candidate, so no word is
+    read past the end.
+    """
+    repeat = np.zeros(len(starts), bool)
+    if len(starts) < 2:
+        return repeat
+    last = len(byte) - 8
+    words = np.ndarray((last + 1,), "<u8", buffer=byte, strides=(1,))  # the word at each byte
+    size = ends - starts
+    word = words[np.minimum(starts, last)] & _LOW_BYTES[np.minimum(size, 8)]
+    same = (word[1:] == word[:-1]) & (size[1:] == size[:-1]) & (ends[1:] <= last)
+    del word
+    repeat[1:] = same & (size[1:] <= 8)
+    rows = np.flatnonzero(same & (size[1:] > 8)) + 1
+    left, here, there = size[rows] - 8, starts[rows] + 8, starts[rows - 1] + 8
+    del size, same
+    while rows.size:
+        same = ((words[here] ^ words[there]) & _LOW_BYTES[np.minimum(left, 8)]) == 0
+        repeat[rows[same & (left <= 8)]] = True
+        more = same & (left > 8)
+        rows, left, here, there = rows[more], left[more] - 8, here[more] + 8, there[more] + 8
+    return repeat
+
+
 def _read_block(span: memoryview) -> _Block | None:
     """The float block that ``span``, compact text from ``[[[`` to ``]]]``, spells, or None.
 
@@ -89,17 +124,35 @@ def _read_block(span: memoryview) -> _Block | None:
     is the block's canonical text. Any other span is None: a ragged or empty
     block, one with an ``int`` or ``bool`` leaf (a JSON ``1`` is not
     ``1.0``), one with a float spelled otherwise (``0.50``, ``5e-1``), or
-    one that is not a block. The span is split at its component and row
-    separators, and each distinct row text is parsed once, in one
-    ``json.loads`` call. Rows are told apart by their text, so ``-0.0`` and
-    ``0.0`` stay apart, as in the encoding.
+    one that is not a block. Rows are found by offset: numpy passes over the
+    span's bytes find its row and component separators, and
+    :func:`_repeats` marks each row that repeats the row before. Only the
+    first row of each run is cut as a text, each distinct text is parsed
+    once, in one ``json.loads`` call, and each run gathers its parsed row.
+    Rows are told apart by their text, so ``-0.0`` and ``0.0`` stay apart,
+    as in the encoding.
     """
-    components = [c.split(b"],[") for c in span[3:-3].tobytes().split(b"]],[[")]
-    k, n = len(components), len(components[0])
-    if set(map(len, components)) != {n}:
+    byte = np.frombuffer(span, np.uint8)
+    # Each "],[" separates two rows, and one inside a "]],[[" two components:
+    # look for them at every "[" past the span's opening "[[[".
+    sep = np.flatnonzero(byte == _OPEN)[3:] - 2
+    sep = sep[(byte[sep] == _CLOSE) & (byte[sep + 1] == _COMMA)]
+    cut = (byte[sep - 1] == _CLOSE) & (byte[sep + 3] == _OPEN)
+    rows, k = len(sep) + 1, int(np.count_nonzero(cut)) + 1
+    n = rows // k
+    # k components of n rows: every n-th separator, and no other, is a component's.
+    if rows != k * n or not np.array_equal(np.flatnonzero(cut), np.arange(n - 1, rows - 1, n)):
         return None
-    rows = list(chain.from_iterable(components))
-    distinct = list(dict.fromkeys(rows))
+    # A row starts after a separator and ends before it; "]],[[" has a bracket more on each side.
+    starts = np.concatenate(([3], sep + 3 + cut))
+    ends = np.concatenate((sep - cut, [len(span) - 3]))
+    del sep, cut
+    heads = np.flatnonzero(~_repeats(byte, starts, ends))
+    runs = np.diff(heads, append=rows)
+    text = span.tobytes()  # slicing bytes is cheaper than slicing the view when most rows are heads
+    texts = [text[s:e] for s, e in zip(starts[heads].tolist(), ends[heads].tolist())]
+    del text, starts, ends, heads
+    distinct = list(dict.fromkeys(texts))
     try:  # "[[],[row],...,[row],[]]": the distinct rows between two empty lists
         joined = b"],[".join([b"[[", *distinct, b"]]"]).decode()
         values = json.loads(joined)
@@ -117,9 +170,9 @@ def _read_block(span: memoryview) -> _Block | None:
         return None
     q = len(rows_values[0])
     array = np.fromiter(chain.from_iterable(rows_values), float, len(distinct) * q).reshape(-1, q)
-    if len(distinct) < len(rows):
+    if len(distinct) < rows:
         index = dict(zip(distinct, range(len(distinct))))
-        array = array[np.fromiter(map(index.__getitem__, rows), np.intp, len(rows))]
+        array = array[np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))].repeat(runs, axis=0)
     return _Block(array.reshape(k, n, q), span)
 
 
@@ -239,9 +292,11 @@ def _load_instance(path: str):
     """Read, digest and validate an instance.
 
     The float blocks are read from the file's bytes (see :func:`_read`):
-    each distinct row is parsed once, and ``model.parse_instance`` validates
-    the blocks' arrays. No nested lists are built for them, and the digest
-    hashes their canonical texts as they are.
+    their rows are found by offset, a text is cut only for the first row of
+    each run of repeated rows, each distinct row is parsed once, and
+    ``model.parse_instance`` validates the blocks' arrays. No nested lists
+    or per-row objects are built for them, and the digest hashes their
+    canonical texts as they are.
     """
     with open(path, "rb") as fh:
         data = fh.read()

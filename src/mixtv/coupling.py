@@ -321,19 +321,22 @@ def _side_bounds(w: np.ndarray, marg: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """One side's aggregate marginal and per-value bounds over its active components, ``(M, q)`` each.
 
     ``w`` is the side's ``(M, k)`` weights, ``marg`` its ``(k, q)`` marginals at the
-    coordinate.  One pass per component, in component order, adds ``w[:, s] * marg[s]``
+    coordinate.  One pass per component, in component order, adds ``marg[s] * w[:, s]``
     elementwise to component 0's term, so no BLAS kernel sets the aggregate's bits;
-    a state with no active component gets the bounds ``inf`` and ``-inf``.
+    a state with no active component gets the bounds ``inf`` and ``-inf``.  The
+    passes run value-major, on ``(q, M)`` arrays whose rows are long where ``q``
+    is short, and the results are transposed back to C order.
     """
-    bar = w[:, 0, None] * marg[0]
+    wt = np.ascontiguousarray(w.T)
+    bar = marg[0, :, None] * wt[0]
     lo, hi = np.full_like(bar, np.inf), np.full_like(bar, -np.inf)
-    for s, row in enumerate(marg):
+    for s, row in enumerate(marg[:, :, None]):
         if s:
-            bar += w[:, s, None] * row
-        act = (w[:, s] > 0.0)[:, None]
+            bar += row * wt[s]
+        act = wt[s] > 0.0
         np.minimum(lo, np.where(act, row, np.inf), out=lo)
         np.maximum(hi, np.where(act, row, -np.inf), out=hi)
-    return bar, lo, hi
+    return np.ascontiguousarray(bar.T), np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
 
 
 def _reweighted(

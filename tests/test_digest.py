@@ -11,12 +11,14 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixtv as mx
+from conftest import benchmark_workloads
 from mixtv import cli, model
 
 
@@ -309,3 +311,144 @@ def test_deep_nesting_reads_each_block_end_once(monkeypatch):
     data = b"[" * 5000 + b"0.5" + b"]" * 5000
     assert cli._skeleton(data) == (data, [])
     assert len(calls) == 1
+
+
+def split_read_block(span: memoryview):
+    """The array of the float block ``span`` spells, or None, read by splitting its text.
+
+    The reference for ``cli._read_block``: the span is split into row texts
+    at its component and row separators, and the distinct texts are parsed
+    in one ``json.loads`` call.
+    """
+    components = [c.split(b"],[") for c in span[3:-3].tobytes().split(b"]],[[")]
+    k, n = len(components), len(components[0])
+    if set(map(len, components)) != {n}:
+        return None
+    rows = list(itertools.chain.from_iterable(components))
+    distinct = list(dict.fromkeys(rows))
+    try:  # "[[],[row],...,[row],[]]": the distinct rows between two empty lists
+        joined = b"],[".join([b"[[", *distinct, b"]]"]).decode()
+        values = json.loads(joined)
+    except (ValueError, RecursionError):
+        return None
+    # As many lists as the join made hold its brackets only: no row holds one.
+    rows_values = values[1:-1]
+    if (
+        len(rows_values) != len(distinct)
+        or set(map(type, rows_values)) != {list}
+        or set(map(len, rows_values)) != {len(rows_values[0])}
+        or set(map(type, itertools.chain.from_iterable(rows_values))) != {float}
+        or json.dumps(values, separators=(",", ":")) != joined  # a float not spelled as it encodes
+    ):
+        return None
+    q = len(rows_values[0])
+    array = np.fromiter(itertools.chain.from_iterable(rows_values), float, len(distinct) * q).reshape(-1, q)
+    if len(distinct) < len(rows):
+        index = dict(zip(distinct, range(len(distinct))))
+        array = array[np.fromiter(map(index.__getitem__, rows), np.intp, len(rows))]
+    return array.reshape(k, n, q)
+
+
+def split_rows(text: bytes) -> tuple[list[bytes], list[int], list[int]]:
+    """The row texts of the block ``text``, and where each starts and ends in it."""
+    rows, starts, ends, at = [], [], [], 3
+    for component in text[3:-3].split(b"]],[["):
+        for row in component.split(b"],["):
+            rows.append(row)
+            starts.append(at)
+            ends.append(at + len(row))
+            at += len(row) + 3
+        at += 2
+    return rows, starts, ends
+
+
+# Floats as Python spells them, by the length of their text: rows built
+# from one length per slot are as long as each other.
+TOKENS = {
+    3: ["0.5", "1.0", "0.0", "1.5", "0.1"],
+    4: ["0.25", "0.75", "-0.0", "-1.0", "0.05"],
+    5: ["0.125", "0.375", "-0.25", "1e-05", "1e+16"],
+    7: ["0.03125", "0.15625", "0.09375", "-0.0625"],
+    19: ["0.30000000000000004", "0.10000000000000003", "0.19999999999999996"],
+}
+# Other spellings of floats, and ints, by length: 0.50 reads as 0.5, and
+# 0.00 as 0.0, which equals -0.0.
+SPELLED = {1: ["1", "0"], 3: ["1e5", "1E0"], 4: ["0.50", "0.00", "5e-1", "1e16"], 5: ["0.250", "1.000"]}
+# Row texts that hold brackets, or that put one next to a separator.
+BRACKETED = ["[0.5]", "[", "]", "0.5],[0.5", "]],[[", "[]", "", "[[0.5]]"]
+
+
+@st.composite
+def block_texts(draw):
+    """Compact text from ``[[[`` to ``]]]`` that spells a block of rows, or nearly one.
+
+    Its rows come from a small pool of rows as long as each other, which
+    share their first slots, so that they differ only past byte 8, 16 or
+    24; rows repeat in runs or alternate. Some pools spell floats otherwise
+    or hold ints, some blocks hold rows with brackets or of another length,
+    and some are ragged, with middle components empty.
+    """
+    tokens = {**TOKENS, 1: []}
+    if draw(st.integers(0, 3)) == 0:
+        tokens = {size: TOKENS.get(size, []) + SPELLED.get(size, []) for size in tokens}
+    slots = draw(st.lists(st.sampled_from(sorted(size for size in tokens if tokens[size])), min_size=1, max_size=6))
+    shared = draw(st.integers(max(len(slots) - 2, 0), len(slots) - 1))
+    prefix = [draw(st.sampled_from(tokens[size])) for size in slots[:shared]]
+    tails = st.tuples(*[st.sampled_from(tokens[size]) for size in slots[shared:]])
+    pool = [",".join(prefix + list(tail)) for tail in draw(st.lists(tails, min_size=2, max_size=4))]
+    row = st.sampled_from(pool)
+    if draw(st.integers(0, 3)) == 0:
+        odd = st.lists(st.sampled_from(TOKENS[3]), max_size=3).map(",".join)
+        row = st.one_of(row, st.sampled_from(BRACKETED), odd)
+    runs = st.lists(st.tuples(row, st.integers(1, 4)), min_size=1, max_size=6)
+    n = None if draw(st.integers(0, 3)) == 0 else draw(st.integers(1, 12))  # None: ragged
+    components = []
+    for c in range(draw(st.integers(1, 3))):
+        rows = [text for text, count in draw(runs) for _ in range(count)]
+        if n is not None:
+            rows = (rows * n)[:n]
+        elif 0 < c and draw(st.integers(0, 3)) == 0:
+            rows = []
+        components.append("[" + ",".join(f"[{text}]" for text in rows) + "]")
+    if components[-1] == "[]":
+        components[-1] = "[[0.5]]"
+    return ("[" + ",".join(components) + "]").encode()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(block_texts())
+def test_read_block_matches_the_split_read(text):
+    span = memoryview(text)
+    want = split_read_block(span)
+    got = cli._read_block(span)
+    if want is None:
+        assert got is None
+    else:
+        assert got.text is span
+        assert (got.array.dtype, got.array.shape, got.array.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # A row repeats the row before when their texts are equal; a row that
+    # ends within 8 bytes of the span's end is not compared.
+    rows, starts, ends = split_rows(text)
+    repeats = [i > 0 and rows[i] == rows[i - 1] and ends[i] + 8 <= len(text) for i in range(len(rows))]
+    byte = np.frombuffer(text, np.uint8)
+    assert cli._repeats(byte, np.array(starts), np.array(ends)).tolist() == repeats
+
+
+def test_read_of_the_exact_benchmark_layout_stays_small(tmp_path):
+    # The exact-subcube benchmark's layout at n = 2000: two blocks of 14,000
+    # and 12,000 rows, each of 7 bytes, in 38 and 33 runs. Reading each row
+    # into a bytes object peaked at 1.46 MB; reading rows by offset, 1.19 MB.
+    p, q = benchmark_workloads().windowed_subcube_pair(np.random.default_rng(1), n=2000, window=20, k1=7, k2=6)
+    path = tmp_path / "exact.json"
+    with open(path, "w") as fh:
+        json.dump(mx.instance_document(p, q), fh, separators=(",", ":"))
+    tracemalloc.start()
+    try:
+        read_p, read_q, _ = cli._load_instance(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref_p, ref_q = model.parse_instance(json.loads(path.read_text()))
+    assert_same_bits(read_p, ref_p)
+    assert_same_bits(read_q, ref_q)
+    assert peak < 1_470_000
