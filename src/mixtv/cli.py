@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Sequence
 
@@ -32,8 +31,6 @@ from .errors import NumericalError, ShapeMismatch, TooLarge, ValidationError
 
 # A named file that cannot be opened, decoded or parsed is a validation error.
 _FILE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError)
-# The keys of the instance layout whose objects hold a mixture's arrays.
-_MIXTURES = ("p", "q_dist")
 # JSON's whitespace bytes.
 _WS = b" \t\n\r"
 # 0 for JSON whitespace and one-byte tokens, 1 for every other byte.
@@ -64,14 +61,6 @@ def _canonical(obj: Any, default: Callable | None = None) -> str:
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), check_circular=False, default=default
     )
-
-
-@dataclass(frozen=True)
-class _Block:
-    """A float block cut from an instance's text: its array and its text, which is canonical."""
-
-    array: np.ndarray
-    text: memoryview
 
 
 def _runs(data: bytes) -> int:
@@ -116,12 +105,12 @@ def _repeats(byte: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarr
     return repeat
 
 
-def _read_block(span: memoryview) -> _Block | None:
-    """The float block that ``span``, compact text from ``[[[`` to ``]]]``, spells, or None.
+def _read_block(span: memoryview) -> np.ndarray | None:
+    """The array of the float block that ``span``, compact text from ``[[[`` to ``]]]``, spells.
 
     A float block is a rectangular (k, n, q) list whose every leaf has type
     exactly ``float`` and is spelled as Python encodes it, so that ``span``
-    is the block's canonical text. Any other span is None: a ragged or empty
+    is the array's canonical text. Any other span is None: a ragged or empty
     block, one with an ``int`` or ``bool`` leaf (a JSON ``1`` is not
     ``1.0``), one with a float spelled otherwise (``0.50``, ``5e-1``), or
     one that is not a block. Rows are found by offset: numpy passes over the
@@ -173,10 +162,10 @@ def _read_block(span: memoryview) -> _Block | None:
     if len(distinct) < rows:
         index = dict(zip(distinct, range(len(distinct))))
         array = array[np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))].repeat(runs, axis=0)
-    return _Block(array.reshape(k, n, q), span)
+    return array.reshape(k, n, q)
 
 
-def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
+def _skeleton(data: bytes) -> tuple[bytes, list[tuple[np.ndarray, memoryview]]]:
     """``data`` without JSON whitespace and with each float block cut out, and those blocks.
 
     The scan takes the first ``[[[`` in the text and the first ``]]]`` after
@@ -184,7 +173,8 @@ def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
     stays in the text, and the scan goes on after its ``]]]``: a block that
     starts at a later ``[[[`` before the same ``]]]``, as in ``[[[[0.5]]]]``,
     is not cut. Each cut block leaves the token ``NaN`` behind, which
-    ``json.loads`` hands to its ``parse_constant`` hook in text order.
+    ``json.loads`` hands to its ``parse_constant`` hook in text order, and
+    is returned as its array and its span, the array's canonical text.
     The cut stands only if the text is the same document but for its blocks.
     Otherwise ``(data, [])`` is returned, and the file is read by ``json``:
 
@@ -195,6 +185,10 @@ def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
       constant or in a string;
     - when its strings differ from those of ``data``: a string held
       whitespace or a cut block.
+
+    So every ``NaN`` token of a skeleton is a cut block, in text order, and
+    ``json.loads`` puts each block's array where it puts the block's lists
+    when it reads ``data``.
     """
     tight = data
     if any(ws in data for ws in _WS):
@@ -204,9 +198,10 @@ def _skeleton(data: bytes) -> tuple[bytes, list[_Block]]:
     view, pieces, blocks, lo = memoryview(tight), [], [], 0
     start = tight.find(b"[[[")
     while start >= 0 and (end := tight.find(b"]]]", start)) >= 0:
-        if (block := _read_block(view[start : end + 3])) is not None:
+        span = view[start : end + 3]
+        if (array := _read_block(span)) is not None:
             pieces += (tight[lo:start], b"NaN")
-            blocks.append(block)
+            blocks.append((array, span))
             lo = end + 3
         start = tight.find(b"[[[", end + 3)
     pieces.append(tight[lo:])
@@ -229,26 +224,27 @@ def _parse_json(data: bytes, path: str) -> Any:
         raise ShapeMismatch(f"{path}: {exc}") from None
 
 
-def _digest(doc: Any) -> str | None:
-    """SHA-256 of ``_canonical(doc)``, where each :class:`_Block` in ``doc`` is hashed as its text.
+def _digest(doc: Any, texts: dict[int, memoryview] | None = None) -> str | None:
+    """SHA-256 of ``_canonical(doc)``, where each array in ``doc`` is hashed as its canonical text.
 
-    The encoder writes each block as ``NaN`` and records its text, and the
-    hash is fed the encoding with each block's text where its ``NaN`` was.
-    None if the encoding holds a ``NaN`` that is not a block, as a string or
+    ``texts`` maps the ``id`` of each array in ``doc`` to its text. The
+    encoder writes each array as ``NaN`` and records its text, and the hash
+    is fed the encoding with each array's text where its ``NaN`` was. None
+    if the encoding holds a ``NaN`` that is not an array, as a string or
     key spelled with escapes (``"\\u004eaN"``) does: it encodes as ``NaN``.
     """
-    texts: list[memoryview] = []
+    spliced: list[memoryview] = []
 
-    def block(value: _Block) -> float:
-        texts.append(value.text)
+    def block(array: np.ndarray) -> float:
+        spliced.append(texts[id(array)])
         return math.nan
 
     encoded = _canonical(doc, default=block)
-    pieces = encoded.split("NaN") if texts else [encoded]
-    if len(pieces) != len(texts) + 1:
+    pieces = encoded.split("NaN") if spliced else [encoded]
+    if len(pieces) != len(spliced) + 1:
         return None
     sha = hashlib.sha256(pieces[0].encode())
-    for text, piece in zip(texts, pieces[1:]):
+    for text, piece in zip(spliced, pieces[1:]):
         sha.update(text)
         sha.update(piece.encode())
     return sha.hexdigest()
@@ -258,32 +254,28 @@ def _read(data: bytes, path: str) -> tuple[Any, str]:
     """The document that the file's bytes ``data`` hold, and its digest.
 
     Only the skeleton of ``data`` (see :func:`_skeleton`) goes through
-    ``json.loads`` when each cut block lands as a value of the mixture
-    object ``p`` or ``q_dist``: the document is hashed with its blocks in it
-    (see :func:`_digest`), and then each block becomes its array. Otherwise
-    the file is decoded and parsed whole, as ``json.load`` reads it in text
-    mode: when :func:`_skeleton` cuts nothing; when the skeleton is not
-    UTF-8 or not JSON, so that the error is the one that reading the file
-    raises; when the encoding holds a ``NaN`` that no block left; and when
-    a block lands anywhere else or is dropped with a repeated key.
+    ``json.loads``, which puts each cut block's array where its ``NaN``
+    token stands: under whatever key or in whatever list holds it, or
+    nowhere when a repeated key replaces it. The document is hashed with
+    the arrays in it (see :func:`_digest`). Otherwise the file is decoded
+    and parsed whole, as ``json.load`` reads it in text mode: when
+    :func:`_skeleton` cuts nothing; when the skeleton is not UTF-8, not
+    JSON or not an object, so that the error is the one that reading the
+    file raises; and when the encoding holds a ``NaN`` that no block left.
     """
     skeleton, blocks = _skeleton(data)
-    markers = iter(blocks)
+    arrays = (array for array, _ in blocks)
 
     def constant(name: str) -> Any:  # each NaN is a cut block, in text order
-        return next(markers) if name == "NaN" else float(name)
+        return next(arrays) if name == "NaN" else float(name)
 
     try:
         doc = json.loads(skeleton.decode(), parse_constant=constant) if blocks else None
     except (ValueError, RecursionError):
         doc = None
-    if type(doc) is dict and (digest := _digest(doc)) is not None:
-        mixtures = [m for m in map(doc.get, _MIXTURES) if type(m) is dict]
-        landed = [(m, key) for m in mixtures for key, value in m.items() if type(value) is _Block]
-        if len(landed) == len(blocks):
-            for mixture, key in landed:
-                mixture[key] = mixture[key].array
-            return doc, digest
+    texts = {id(array): span for array, span in blocks}
+    if type(doc) is dict and (digest := _digest(doc, texts)) is not None:
+        return doc, digest
     doc = _parse_json(data, path)
     return doc, _digest(doc)
 
@@ -291,12 +283,14 @@ def _read(data: bytes, path: str) -> tuple[Any, str]:
 def _load_instance(path: str):
     """Read, digest and validate an instance.
 
-    The float blocks are read from the file's bytes (see :func:`_read`):
-    their rows are found by offset, a text is cut only for the first row of
-    each run of repeated rows, each distinct row is parsed once, and
-    ``model.parse_instance`` validates the blocks' arrays. No nested lists
-    or per-row objects are built for them, and the digest hashes their
-    canonical texts as they are.
+    The float blocks are read from the file's bytes as arrays, wherever
+    they stand in the document (see :func:`_read`): their rows are found by
+    offset, a text is cut only for the first row of each run of repeated
+    rows, and each distinct row is parsed once. No nested lists or per-row
+    objects are built for them, and the digest hashes their canonical texts
+    as they are. ``model.parse_instance``, the one place that knows the
+    instance layout, validates the document: it reads the arrays of ``p``
+    and ``q_dist`` and ignores any other key.
     """
     with open(path, "rb") as fh:
         data = fh.read()

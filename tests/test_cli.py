@@ -481,14 +481,19 @@ class TestReports:
         assert json.loads(out)["digest"] == digest
 
     def test_digest_of_the_benchmark_layout(self, capsys, tmp_path):
-        # The benchmark writes compact JSON with keys in instance_document order.
+        # The benchmark writes compact JSON with keys in instance_document order,
+        # `gen --output` indents it, and json.dump's default layout puts a
+        # space after each "," and ":".
         doc = mx.instance_document(*mx.random_instance(200, 2, 3, 2, seed=8, family="subcube"))
-        compact = tmp_path / "compact.json"
-        compact.write_text(json.dumps(doc, separators=(",", ":")))
-        indented = tmp_path / "indented.json"
-        indented.write_text(json.dumps(doc, sort_keys=True, indent=2))
+        layouts = {
+            "compact": {"separators": (",", ":")},
+            "indented": {"sort_keys": True, "indent": 2},
+            "default": {},
+        }
         digests = set()
-        for path in (compact, indented):
+        for stem, layout in layouts.items():
+            path = tmp_path / f"{stem}.json"
+            path.write_text(json.dumps(doc, **layout))
             # Both blocks take the fast path: a fallback to the whole-file parse shows here.
             data = path.read_bytes()
             assert len(cli._skeleton(data)[1]) == 2

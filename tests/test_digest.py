@@ -204,6 +204,26 @@ def test_ragged_block_is_encoded_whole_and_rejected(doc_path, capsys, components
     assert "could not coerce mixture arrays" in json.loads(err)["detail"]
 
 
+def test_block_under_a_size_key_is_rejected(doc_path, capsys):
+    # The reader cuts a float block wherever it stands, so "n" holds an array
+    # and the detail shows its repr; json's nested lists would show [[[1.0]]].
+    doc = {
+        "q": 2,
+        "n": [[[1.0]]],
+        "p": {"weights": [1.0], "components": [[[0.5, 0.5]]]},
+        "q_dist": {"weights": [1.0], "components": [[[1.0, 0.0]]]},
+    }
+    data = json.dumps(doc).encode()
+    doc_path.write_bytes(data)
+    read, digest = cli._read(data, str(doc_path))
+    assert type(read["n"]) is np.ndarray and digest == canonical_digest(doc)
+    assert cli.run(["exact-subcube", "--input", str(doc_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    detail = "declared q=2, n=array([[[1.]]]) but arrays have q=2, n=1"
+    assert json.loads(err) == {"error": "validation", "detail": detail}
+
+
 # An instance whose p block is broken, and the detail that reading it must
 # report: json's own message at the position json.load gives in the file.
 BROKEN_HEAD = (
@@ -257,10 +277,10 @@ ESCAPED = {
 
 @pytest.mark.parametrize("shape", ["spelled-row", "meta-block", "repeated-key", *META_STRINGS, *ESCAPED])
 def test_off_shape_files_are_read_by_json(doc_path, shape):
-    # The fast path cuts only canonical float blocks that land in p or q_dist,
-    # from a file whose strings it leaves as they are; anything else is left
-    # to json, with the same digest and bits. A block that the fast path
-    # reads comes back as an array, one that json reads as nested lists.
+    # The fast path cuts canonical float blocks, wherever they stand, from a
+    # file whose strings it leaves as they are; anything else is left to
+    # json, with the same digest and bits. A block that the fast path reads
+    # comes back as an array, one that json reads as nested lists.
     doc = {
         "q": 2,
         "n": 2,
@@ -291,8 +311,11 @@ def test_off_shape_files_are_read_by_json(doc_path, shape):
         assert arrays == [False, True]
     elif shape in META_STRINGS:
         assert (skeleton, blocks) == (data, []) and arrays == [False, False]
-    else:
-        assert len(blocks) == (2 if shape in ESCAPED else 3) and arrays == [False, False]
+    elif shape in ESCAPED:
+        assert len(blocks) == 2 and arrays == [False, False]
+    else:  # a block under an extra key, or one that a repeated key replaces
+        assert len(blocks) == 3 and arrays == [True, True]
+        assert type(read.get("meta")) is (np.ndarray if shape == "meta-block" else type(None))
     doc_path.write_text(text)
     p, q, digest = cli._load_instance(str(doc_path))
     assert digest == canonical_digest(doc)
@@ -424,8 +447,7 @@ def test_read_block_matches_the_split_read(text):
     if want is None:
         assert got is None
     else:
-        assert got.text is span
-        assert (got.array.dtype, got.array.shape, got.array.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     # A row repeats the row before when their texts are equal; a row that
     # ends within 8 bytes of the span's end is not compared.
     rows, starts, ends = split_rows(text)
