@@ -45,6 +45,9 @@ _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_MAX_CONFIGS = 2**24
+# `coupling-stats --dump` refuses a DAG whose states' path keys hold more
+# symbols than this: at 56-61 bytes of dump per symbol, about 1 GB.
+DUMP_MAX_SYMBOLS = 2**24
 
 
 class _UsageError(Exception):
@@ -393,6 +396,11 @@ def _cmd_coupling_stats(args) -> tuple[str, dict, list[str], str]:
     dag = coupling.build_dag(p, q, max_states=args.max_states)
     stats = dag.statistics()
     if args.dump:
+        symbols = sum(depth * size for depth, size in enumerate(stats["layer_sizes"]))
+        if symbols > DUMP_MAX_SYMBOLS:
+            raise TooLarge(
+                f"--dump would write {symbols} path-key symbols, above {DUMP_MAX_SYMBOLS}"
+            )
         with open(args.dump, "w", encoding="utf-8") as fh:
             json.dump(dag.to_dict(), fh, sort_keys=True, indent=2)
     summary = (
@@ -422,10 +430,11 @@ def _cmd_gen(args) -> tuple[str, dict, list[str], str]:
             "clauses": formula.m,
         }
         summary = f"gen from-cnf: r={formula.r} m={formula.m} predicted_tv={predicted:.12g}"
+    text = _canonical(doc)  # the instance's digest is the sha256 of these bytes
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-    return _digest(doc), result, [], summary
+            fh.write(text)
+    return hashlib.sha256(text.encode()).hexdigest(), result, [], summary
 
 
 _COMMANDS: dict[str, Callable] = {

@@ -22,11 +22,6 @@ from .errors import NormalizationError, NotAProbability, ShapeMismatch, TooLarge
 SUM_TOL = 1e-9
 # Single entries may undershoot 0 / overshoot 1 by at most this much.
 ENTRY_TOL = 1e-12
-# Elements of the largest temporary array that one vectorised step of
-# :func:`masses` over a chunk of coordinates allocates; a longer range is
-# walked in chunks.  At 64 KB of doubles the temporaries stay below a
-# query's peak RSS: 2^15 added 0.4 MB on the approx-deep benchmark.
-_STEP_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -192,19 +187,12 @@ def masses(m: Mixture, configs: Sequence[Sequence[int]]) -> np.ndarray:
 
     Coordinates are multiplied left to right and components added in
     ascending index, so each row is bit-for-bit reproducible whatever block
-    it is in.  The product is a left fold over chunks of coordinates: each
-    chunk's gathered marginals are multiplied into the running product in
-    coordinate order by one ``np.multiply.reduce``.
+    it is in.
     """
     cfgs = as_configurations(m, configs)
-    marginals = m.components.transpose(1, 2, 0)  # (n, q, k)
     prods = np.ones((cfgs.shape[0], m.k))
-    step = max(1, _STEP_ELEMENTS // max(prods.size, 1))  # coordinates per chunk
-    for i in range(0, m.n, step):
-        j = min(i + step, m.n)
-        chunk = marginals[np.arange(i, j)[:, None], cfgs[:, i:j].T]  # (j - i, B, k)
-        chunk[0] *= prods
-        prods = np.multiply.reduce(chunk, axis=0)
+    for i in range(m.n):
+        prods *= m.components[:, i, cfgs[:, i]].T
     total = np.zeros(cfgs.shape[0])
     for s in range(m.k):
         total += m.weights[s] * prods[:, s]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,28 @@ class TestCouplingStats:
         assert len(doc["transitions"]) == stats["num_transitions"]
         assert doc["states"][0]["layer"] == 1
 
+    def test_dump_too_large_is_refused_before_writing(self, capsys, tmp_path):
+        # One state per layer, so the path keys hold 6000 * 6001 / 2 symbols.
+        n, h = 6000, [0.5, 0.5]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "q": 2, "n": n,
+            "p": {"weights": [1.0], "components": [[h] * n]},
+            "q_dist": {"weights": [1.0], "components": [[[1.0, 0.0]] + [h] * (n - 1)]},
+        }))
+        dump = tmp_path / "dag.json"
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, ["coupling-stats", "--input", str(path), "--dump", str(dump)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "size-guard",
+            "detail": f"--dump would write 18003000 path-key symbols, above {2**24}",
+        }
+        assert not dump.exists()
+
     def test_max_states_guard(self, capsys, small_instance):
         code, _, err = run_cli(
             capsys, ["coupling-stats", "--input", small_instance, "--max-states", "2"]
@@ -234,6 +257,23 @@ class TestGen:
         assert code == 0
         doc = json.loads(target.read_text())
         assert json.loads(out)["result"]["instance"] == doc
+
+    @pytest.mark.parametrize("generator", ["random", "from-cnf"])
+    def test_output_file_holds_the_bytes_it_hashes(self, capsys, tmp_path, generator):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+        args = {
+            "random": ["gen", "random", "--n", "5", "--q", "3", "--k1", "2", "--k2", "2",
+                       "--seed", "4"],
+            "from-cnf": ["gen", "from-cnf", "--dimacs", str(cnf)],
+        }[generator]
+        target = tmp_path / "inst.json"
+        code, out, _ = run_cli(capsys, [*args, "--output", str(target)])
+        assert code == 0
+        report = json.loads(out)
+        data = target.read_bytes()
+        assert data == cli._canonical(report["result"]["instance"]).encode()
+        assert hashlib.sha256(data).hexdigest() == report["digest"]
 
     def test_subcube_needs_binary(self, capsys):
         code, _, _ = run_cli(
@@ -482,8 +522,9 @@ class TestReports:
 
     def test_digest_of_the_benchmark_layout(self, capsys, tmp_path):
         # The benchmark writes compact JSON with keys in instance_document order,
-        # `gen --output` indents it, and json.dump's default layout puts a
-        # space after each "," and ":".
+        # `gen --output` writes it compact with keys sorted, hand-written files
+        # are often indented, and json.dump's default layout puts a space after
+        # each "," and ":".
         doc = mx.instance_document(*mx.random_instance(200, 2, 3, 2, seed=8, family="subcube"))
         layouts = {
             "compact": {"separators": (",", ":")},

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixtv as mx
-from mixtv import coupling, estimator
+from mixtv import cli, coupling, estimator
 from conftest import benchmark_workloads, lex_configs, mixture, point_mass, uniform_bits
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -1329,10 +1329,15 @@ PINNED_DUMPS = {
 
 class TestDump:
     @pytest.mark.parametrize("name", sorted(PINNED_DUMPS))
-    def test_dump_bytes_are_pinned(self, name):
+    def test_dump_bytes_are_pinned(self, name, tmp_path, capsys):
         p, q = mx.parse_instance(json.loads((INSTANCES / name).read_text()))
         text = json.dumps(mx.build_dag(p, q).to_dict(), sort_keys=True, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DUMPS[name]
+        dump = tmp_path / "dag.json"
+        code = cli.run(["coupling-stats", "--input", str(INSTANCES / name), "--dump", str(dump)])
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == PINNED_DUMPS[name]
 
     def test_path_keys_name_values_past_int16(self):
         # A Type-II step at value c appends symbol c + 1, for every q.

@@ -143,8 +143,8 @@ class TestMass:
         assert block.tolist() == [suffix_mass(p, 1, p.weights, c) for c in configs[::-1]]
 
     def test_long_block_rows_equal_suffix_mass(self):
-        # 2,001 coordinates, so a fold over chunks of coordinates ends on a
-        # partial chunk; rows close to 1 keep every product far from underflow.
+        # 2,001 coordinates; rows close to 1 keep every product far from
+        # underflow.
         rng = np.random.default_rng(6)
         eps = rng.uniform(0.0, 1e-3, size=(3, 2001, 1))
         p = mixture([0.2, 0.3, 0.5], np.concatenate([1.0 - eps, eps], axis=2))

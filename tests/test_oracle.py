@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -33,11 +35,15 @@ class TestBruteForceTv:
                 mx.mass_table(uniform2, max_configs=limit)
 
     def test_mass_table_matches_pointwise_oracle(self):
-        p, _ = mx.random_instance(3, 3, 2, 1, seed=6)
-        table = mx.mass_table(p)
-        for idx, cfg in enumerate(lex_configs(3, 3)):
-            assert table[idx] == pytest.approx(mx.mass(p, cfg), abs=1e-14)
-        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        # Both fold the coordinates left to right and add the components in
+        # index order, so every mass agrees to the bit.
+        for k, q, seed in product((1, 3, 7), (2, 3, 4), range(4)):
+            configs = lex_configs(3, q)
+            p, _ = mx.random_instance(3, q, k, 1, seed=seed)
+            table = mx.mass_table(p)
+            assert table.tobytes() == mx.masses(p, configs).tobytes()
+            assert table.tolist() == [mx.mass(p, cfg) for cfg in configs]
+            assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_table_normalized_at_scale(self):
         # 2^16 configurations, multi-chunk path
