@@ -381,15 +381,17 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
     and the Q side is reweighted only at the Type-II pairs that become
     children, since no other Q-side reweighting is read.
 
-    A layer whose every state has a Type-I edge and none has a Type-II edge
-    keeps every reweighting, so the next layer reuses its ``alpha`` and
-    ``beta`` arrays with Type-I children ``arange(M)``; its rows are already
-    pairwise distinct, so the merge is skipped.  When the next coordinate's
+    The forward pass appends one layer per coordinate.  A layer whose every
+    state has a Type-I edge and none has a Type-II edge keeps every
+    reweighting, so the next layer reuses its ``alpha`` and ``beta`` arrays
+    with Type-I children ``arange(M)``; its rows are already pairwise
+    distinct, so the merge is skipped.  When the next coordinate's
     marginals are byte-equal to this one's in every component, the next
     layer's forward step is the same function of the same inputs, so the
-    DAG holds this same record at each repeated coordinate that follows,
-    and the states carry over again.  Either way the tables hold exactly
-    the bytes a full step would compute.
+    next layer is this same record, and a record is never stepped twice:
+    it is held again at each further repeated coordinate, and after the
+    run its states pass on to a new record over the same arrays.  Either
+    way the tables hold exactly the bytes a full step would compute.
 
     After the last layer, one backward pass fills each depth's failure
     probabilities, one depth at a time, a shared record's depths each
@@ -422,72 +424,68 @@ def build_dag(p: Mixture, q: Mixture, max_states: int | None = None) -> Coupling
         & (bits_q[:, 1:] == bits_q[:, :-1]).all(axis=(0, 2))
     ).tolist() + [False]
 
-    depth = 0
-    while depth < n:
+    for depth in range(n):
         lay = layers[depth]
-        m_here = lay.size
-        a, b = lay.alpha, lay.beta
-        pj = p.components[:, depth, :]  # (k1, q)
-        qj = q.components[:, depth, :]  # (k2, q)
-        pbar, min_p, max_p = _side_bounds(a, pj)  # (M, q) each
-        qbar, min_q, max_q = _side_bounds(b, qj)
-        ell = np.minimum(min_p, min_q)
+        child = None
+        # A record whose children are set is a carried record held again at
+        # a repeated coordinate: its states pass on again, unstepped.
+        if lay.children is None:
+            m_here = lay.size
+            a, b = lay.alpha, lay.beta
+            pj = p.components[:, depth, :]  # (k1, q)
+            qj = q.components[:, depth, :]  # (k2, q)
+            pbar, min_p, max_p = _side_bounds(a, pj)  # (M, q) each
+            qbar, min_q, max_q = _side_bounds(b, qj)
+            ell = np.minimum(min_p, min_q)
 
-        # Degeneracy is decided structurally (no active marginal above
-        # ell), which matches exact arithmetic even when the aggregated
-        # marginal rounds away from ell.
-        deg_p = ~(max_p > ell)
-        deg_q = ~(max_q > ell)
-        w2_raw = np.minimum(pbar, qbar) - ell
-        t2 = (w2_raw > 0.0) & ~deg_p & ~deg_q
+            # Degeneracy is decided structurally (no active marginal above
+            # ell), which matches exact arithmetic even when the aggregated
+            # marginal rounds away from ell.
+            deg_p = ~(max_p > ell)
+            deg_q = ~(max_q > ell)
+            w2_raw = np.minimum(pbar, qbar) - ell
+            t2 = (w2_raw > 0.0) & ~deg_p & ~deg_q
 
-        lay.w1 = ell
-        lay.w2 = np.where(t2, w2_raw, 0.0)
-        lay.res_p = np.maximum(pbar - qbar, 0.0)
-        lay.res_q = np.maximum(qbar - pbar, 0.0)
+            lay.w1 = ell
+            lay.w2 = np.where(t2, w2_raw, 0.0)
+            lay.res_p = np.maximum(pbar - qbar, 0.0)
+            lay.res_q = np.maximum(qbar - pbar, 0.0)
 
-        lay.upd_alpha = _reweighted(
-            a[:, :, None], pj, ell[:, None, :], pbar[:, None, :], deg_p[:, None, :]
-        )
-
-        has1 = lay.w1.sum(axis=1) > 0.0
-        n1 = int(has1.sum())
-        par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
-        lay.children = np.full((m_here, qq + 1), -1, dtype=np.int64)
-        # Only Type-I edges: every state passes on with its reweighting.
-        # A layer's rows are pairwise distinct (merged or carried over),
-        # so the merge would keep every row in place; it is skipped.
-        carry = n1 == m_here and par2.size == 0
-        stop = depth + 1
-        if carry:
-            lay.children[:, 0] = np.arange(m_here)
-            # The states pass on again over the repeated coordinates that
-            # follow, each of which holds this same record.
-            while repeat[stop]:
-                stop += 1
-            new_layers = [lay] * (stop - depth - 1) + [_Layer(alpha=a, beta=b)]
-        else:
-            # Children in creation order: Type-I children by parent, then
-            # Type-II children by (parent, value).  Only the Type-II
-            # children read a Q-side reweighting.
-            upd_beta = _reweighted(
-                b[par2], qj[:, c2].T,
-                ell[par2, c2, None], qbar[par2, c2, None], deg_q[par2, c2, None],
+            lay.upd_alpha = _reweighted(
+                a[:, :, None], pj, ell[:, None, :], pbar[:, None, :], deg_p[:, None, :]
             )
-            alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
-            beta = np.concatenate([b[has1], upd_beta], axis=0)
-            keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
-            lay.children[has1, 0] = index[:n1]
-            lay.children[par2, c2 + 1] = index[n1:]
-            new_layers = [_Layer(alpha=alpha[keep], beta=beta[keep])]
-        for child in new_layers:
-            count += child.size
-            if max_states is not None and count > max_states:
-                raise TooLarge(
-                    f"state count exceeded max_states={max_states} at layer {len(layers) + 1}"
+
+            has1 = lay.w1.sum(axis=1) > 0.0
+            n1 = int(has1.sum())
+            par2, c2 = np.nonzero(t2)  # row-major: parent ascending, then value
+            lay.children = np.full((m_here, qq + 1), -1, dtype=np.int64)
+            if n1 == m_here and par2.size == 0:
+                # Only Type-I edges: every state passes on with its
+                # reweighting.  A layer's rows are pairwise distinct (merged
+                # or carried over), so the merge would keep every row in
+                # place; it is skipped.
+                lay.children[:, 0] = np.arange(m_here)
+            else:
+                # Children in creation order: Type-I children by parent, then
+                # Type-II children by (parent, value).  Only the Type-II
+                # children read a Q-side reweighting.
+                upd_beta = _reweighted(
+                    b[par2], qj[:, c2].T,
+                    ell[par2, c2, None], qbar[par2, c2, None], deg_q[par2, c2, None],
                 )
-            layers.append(child)
-        depth = stop
+                alpha = np.concatenate([a[has1], lay.upd_alpha[par2, :, c2]], axis=0)
+                beta = np.concatenate([b[has1], upd_beta], axis=0)
+                keep, index = _merge_equal_rows(np.concatenate([alpha, beta], axis=1))
+                lay.children[has1, 0] = index[:n1]
+                lay.children[par2, c2 + 1] = index[n1:]
+                child = _Layer(alpha=alpha[keep], beta=beta[keep])
+        if child is None:
+            # The states pass on: a repeated coordinate holds this same record.
+            child = lay if repeat[depth + 1] else _Layer(alpha=lay.alpha, beta=lay.beta)
+        count += child.size
+        if max_states is not None and count > max_states:
+            raise TooLarge(f"state count exceeded max_states={max_states} at layer {len(layers) + 1}")
+        layers.append(child)
 
     pfail = [None] * n + [np.zeros(layers[-1].size)]
     for depth in range(n - 1, -1, -1):

@@ -160,8 +160,9 @@ def presolve(p: Mixture, q: Mixture) -> tuple[Mixture, Mixture, float] | None:
       ``Q = Q' x r``, so it is dropped and the distance does not change.
 
     Returns None when a side has no weight left, i.e. when the distance is
-    0. When nothing is removed, ``p`` and ``q`` themselves come back with
-    ``c = 0.0``.
+    0. The core is always a new pair of mixtures; when nothing is removed
+    it holds the bytes of ``p`` and ``q`` (a ``-0.0`` weight as ``0.0``)
+    and ``c = 0.0``.
     """
     check_same_domain(p, q)
     sides = []
@@ -183,21 +184,15 @@ def presolve(p: Mixture, q: Mixture) -> tuple[Mixture, Mixture, float] | None:
     if not (weights[0].sum() > 0.0 and weights[1].sum() > 0.0 and cancelled < 1.0):
         return None
     rows = [np.array([g[0] for g in groups], dtype=np.intp) for groups in kept]
-    # Without cancellation a side with as many groups as components merged none.
-    unchanged = [not cancelled and len(r) == m.k for m, r in zip((p, q), rows)]
     ref = p.components[rows[0][0]].view(np.uint64)
     differ = np.zeros(p.n, dtype=bool)
     for m, r in zip((p, q), rows):
         for s in r:
             differ |= (m.components[s].view(np.uint64) != ref).any(axis=1)
-    if differ.all() and all(unchanged):
-        return p, q, 0.0
     keep = np.flatnonzero(differ)
     core = []
-    for m, r, w, same in zip((p, q), rows, weights, unchanged):
-        if same:
-            w = m.weights
-        elif cancelled:
+    for m, r, w in zip((p, q), rows, weights):
+        if cancelled:
             w = w / w.sum()
         components = m.components[np.ix_(r, keep)]
         components.flags.writeable = False

@@ -859,6 +859,19 @@ class TestCarryOver:
             assert not np.shares_memory(dag._pfail[j], dag._pfail[j - 1])
         assert_tables_fit_their_layer(p, q, dag)
 
+    def test_max_states_names_the_first_layer_past_the_bound_inside_a_run(self):
+        p, q = windowed_pair(1, n=60)
+        dag = mx.build_dag(p, q)
+        layers, counts = dag._layers, np.cumsum(dag.layer_sizes).tolist()
+        # Depths d where the record is held for at least the third time in a row.
+        inside = [d for d in range(2, p.n) if layers[d] is layers[d - 1] is layers[d - 2]]
+        assert len(inside) > 10
+        for d in inside:
+            # Layers 1..d + 1 hold one state more than the bound.
+            with pytest.raises(mx.TooLarge, match=f"at layer {d + 1}$"):
+                mx.build_dag(p, q, max_states=counts[d] - 1)
+        assert mx.build_dag(p, q, max_states=counts[-1]).layer_sizes == dag.layer_sizes
+
     def test_agreeing_coordinates_with_different_rows_get_their_own_tables(self):
         # The components differ at coordinate 0, so layer 1 holds several
         # states, and all agree on each later coordinate's row.

@@ -248,8 +248,8 @@ class TestPresolve:
     def test_nothing_removed_passes_the_mixtures_through(self, name):
         p, q = mx.parse_instance(json.loads((INSTANCES / name).read_text()))
         got_p, got_q, cancelled = estimator.presolve(p, q)
-        assert (got_p, got_q, cancelled) == (p, q, 0.0)
-        assert got_p is p and got_q is q
+        assert cancelled == 0.0
+        assert_same_core((got_p, got_q), (p, q))
 
     def test_agreeing_coordinates_are_dropped(self):
         p, q = mx.parse_instance(
@@ -257,7 +257,10 @@ class TestPresolve:
         )
         core_p, core_q, cancelled = estimator.presolve(p, q)
         assert (core_p.n, core_p.k, core_q.k, cancelled) == (16, p.k, q.k, 0.0)
-        assert core_p.weights is p.weights and core_q.weights is q.weights
+        both = np.concatenate([p.components, q.components])
+        differ = (both != both[:1]).any(axis=(0, 2))
+        want = [rebuilt(m, m.weights, m.components[:, differ]) for m in (p, q)]
+        assert_same_core((core_p, core_q), want)
         assert not core_p.components.flags.writeable
 
     def test_shared_components_cancel(self):
@@ -294,7 +297,27 @@ class TestPresolve:
         else:
             core_p, core_q, cancelled = core
             assert tv == pytest.approx((1.0 - cancelled) * mx.brute_force_tv(core_p, core_q), abs=1e-12)
-            assert estimator.presolve(core_p, core_q)[:2] == (core_p, core_q)
+            again = estimator.presolve(core_p, core_q)
+            assert again[2] == 0.0
+            assert_same_core(again, core)
+
+    @pytest.mark.parametrize("name", [
+        "smoke-general-n2q2.json", "smoke-general-n3q3.json", "smoke-subcube-n4.json",
+        "smoke-subcube-deep-n120.json", "perturbed",
+    ])
+    def test_estimating_on_the_core_keeps_every_bit(self, name):
+        # presolve cancels no weight here, so the core's own core holds the
+        # core's bytes and the estimate keeps its bits.
+        if name == "perturbed":
+            p, q = benchmark_workloads().perturbed_pair(np.random.default_rng(4), 6, 3, 3)
+        else:
+            p, q = mx.parse_instance(json.loads((INSTANCES / name).read_text()))
+        core_p, core_q, cancelled = estimator.presolve(p, q)
+        assert cancelled == 0.0
+        got, want = approx(core_p, core_q, seed=5), approx(p, q, seed=5)
+        assert [got.estimate.hex(), got.discrepancy.hex(), got.fbar.hex()] == [
+            want.estimate.hex(), want.discrepancy.hex(), want.fbar.hex()
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(dyadic_pairs(), st.data())
