@@ -45,9 +45,6 @@ _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_MAX_CONFIGS = 2**24
-# `coupling-stats --dump` refuses a DAG whose states' path keys hold more
-# symbols than this: at 56-61 bytes of dump per symbol, about 1 GB.
-DUMP_MAX_SYMBOLS = 2**24
 
 
 class _UsageError(Exception):
@@ -396,13 +393,9 @@ def _cmd_coupling_stats(args) -> tuple[str, dict, list[str], str]:
     dag = coupling.build_dag(p, q, max_states=args.max_states)
     stats = dag.statistics()
     if args.dump:
-        symbols = sum(depth * size for depth, size in enumerate(stats["layer_sizes"]))
-        if symbols > DUMP_MAX_SYMBOLS:
-            raise TooLarge(
-                f"--dump would write {symbols} path-key symbols, above {DUMP_MAX_SYMBOLS}"
-            )
+        text = _canonical(dag.to_dict())  # encoded whole, so a failure leaves no file
         with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump(dag.to_dict(), fh, sort_keys=True, indent=2)
+            fh.write(text)
     summary = (
         f"coupling-stats: states={stats['num_states']} "
         f"transitions={stats['num_transitions']} discrepancy={stats['discrepancy']:.6g} "

@@ -20,13 +20,13 @@ discrepancy is a table read.  The forward pass does full work only at
 layers where the states change: a layer whose states take only Type-I
 edges passes them on as they are, and at a coordinate whose marginals
 repeat the previous one's the DAG holds that layer's record again; the
-failure table is kept per depth.  Layers store no path keys; the views
-derive them.  The backward pass and both block queries take one step per
-layer.  The sampling query walks a block of failure-conditioned draws down
-the DAG together, weighing each edge of the rows it stands on by the
-failure probability of the edge's target, and the evaluation query is one
-forward pass per block of configurations over the states whose paths agree
-with them.  A direct trajectory simulator (:func:`simulate_coupling`)
+failure table is kept per depth.  A state is named by its layer and its
+row in that layer, ``(layer, index)``.  The backward pass and both block
+queries take one step per layer.  The sampling query walks a block of
+failure-conditioned draws down the DAG together, weighing each edge of the
+rows it stands on by the failure probability of the edge's target, and the
+evaluation query is one forward pass per block of configurations over the
+states whose paths agree with them.  A direct trajectory simulator (:func:`simulate_coupling`)
 provides an independent path for statistical cross-validation of the DAG.
 """
 
@@ -61,19 +61,20 @@ class TransitionKind(str, Enum):
 
 
 class State(NamedTuple):
-    """A reachable coupling state: coordinate layer plus current reweightings.
+    """A reachable coupling state: its layer, its row there, and its reweightings.
 
     A state is its layer plus the bytes of its reweightings: paths that
     reach a layer with byte-equal ``(alpha_bar, beta_bar)`` share one state
-    (exact equality, no float tolerance).  ``path_key`` is the state's
-    first-created path from the root, which names it uniquely: symbol 0 for
-    a Type-I step, symbol ``c + 1`` for a Type-II step at value ``c``.
+    (exact equality, no float tolerance).  ``(layer, index)`` names it:
+    ``index`` is its row in the layer, in creation order.  ``p_fail`` is the
+    probability that the coupling fails from it.
     """
 
     layer: int  # 1-based; layer n + 1 holds the terminal states
-    path_key: tuple[int, ...]
+    index: int
     alpha_bar: np.ndarray
     beta_bar: np.ndarray
+    p_fail: float
 
     @property
     def active_count(self) -> int:
@@ -81,11 +82,11 @@ class State(NamedTuple):
 
 
 class Transition(NamedTuple):
-    source: tuple[int, ...]
+    source: tuple[int, int]  # (layer, index)
     kind: TransitionKind
     label: int | tuple[int, int]  # value c, or the mismatched pair (c, c')
     weight: float
-    target: tuple[int, ...] | None  # None is the failure sink
+    target: tuple[int, int] | None  # (layer, index); None is the failure sink
 
 
 @dataclass
@@ -185,48 +186,26 @@ class CouplingDag:
 
     # -- state / transition views ----------------------------------------
 
-    def _path_keys(self) -> list[list[tuple[int, ...]]]:
-        """Each state's first-created path key, derived from the child table.
-
-        A state's last edge is its first occurrence among the layer's edge
-        targets in creation order (Type-I by parent, then Type-II by
-        (parent, value)), since the merge keeps each state's lowest-index row.
-        """
-        keys: list[list[tuple[int, ...]]] = [[()]]
-        for lay in self._layers[:-1]:
-            child1, child2 = lay.children[:, 0], lay.children[:, 1:]
-            par1 = np.flatnonzero(child1 >= 0)
-            par2, c2 = np.nonzero(child2 >= 0)
-            targets = np.concatenate([child1[par1], child2[par2, c2]])
-            parents = np.concatenate([par1, par2]).tolist()
-            symbols = [0] * par1.size + (c2 + 1).tolist()
-            _, first = np.unique(targets, return_index=True)
-            prev = keys[-1]
-            keys.append([prev[parents[e]] + (symbols[e],) for e in first.tolist()])
-        return keys
-
     def iter_states(self) -> Iterator[State]:
-        """All non-failure states in (layer, creation index) order."""
-        for depth, (lay, keys) in enumerate(zip(self._layers, self._path_keys())):
-            for m in range(lay.size):
-                yield State(depth + 1, keys[m], lay.alpha[m].copy(), lay.beta[m].copy())
+        """All non-failure states in (layer, index) order."""
+        for depth, (lay, pfail) in enumerate(zip(self._layers, self._pfail)):
+            for m, pf in enumerate(pfail.tolist()):
+                yield State(depth + 1, m, lay.alpha[m].copy(), lay.beta[m].copy(), pf)
 
     def iter_transitions(self) -> Iterator[Transition]:
         """All materialized transitions; weights of a state sum to 1."""
-        return self._transitions(self._path_keys())
-
-    def _transitions(self, keys: list[list[tuple[int, ...]]]) -> Iterator[Transition]:
         for depth, lay in enumerate(self._layers[:-1]):
-            nxt = keys[depth + 1]
+            layer, nxt = depth + 1, depth + 2
             tables = (lay.w1, lay.w2, lay.res_p, lay.res_q, lay.children, lay.res_p.sum(axis=1))
-            rows = zip(keys[depth], *(table.tolist() for table in tables))
-            for src, w1, w2, res_p, res_q, kids, total in rows:  # total > 0 wherever some res_p is
+            rows = enumerate(zip(*(table.tolist() for table in tables)))
+            for m, (w1, w2, res_p, res_q, kids, total) in rows:  # total > 0 wherever some res_p is
+                src = (layer, m)
                 for c, w in enumerate(w1):
                     if w > 0.0:
-                        yield Transition(src, TransitionKind.TYPE_I, c, w, nxt[kids[0]])
+                        yield Transition(src, TransitionKind.TYPE_I, c, w, (nxt, kids[0]))
                 for c, w in enumerate(w2):
                     if w > 0.0:
-                        yield Transition(src, TransitionKind.TYPE_II, c, w, nxt[kids[c + 1]])
+                        yield Transition(src, TransitionKind.TYPE_II, c, w, (nxt, kids[c + 1]))
                 for c, rp in enumerate(res_p):
                     if rp <= 0.0:
                         continue
@@ -234,11 +213,6 @@ class CouplingDag:
                         if rq > 0.0:
                             w = rp * rq / total
                             yield Transition(src, TransitionKind.TYPE_III, (c, cc), w, None)
-
-    def pfail_map(self) -> dict[tuple[int, ...], float]:
-        """Failure probability per state, keyed by path key (sink excluded)."""
-        keys = [key for layer in self._path_keys() for key in layer]
-        return dict(zip(keys, np.concatenate(self._pfail).tolist()))
 
     def statistics(self) -> dict:
         """Summary used by the CLI: counts, per-layer histogram, discrepancy."""
@@ -257,23 +231,12 @@ class CouplingDag:
         }
 
     def to_dict(self) -> dict:
-        """Full diagnostic dump (states, transitions, failure table)."""
-        keys = self._path_keys()
+        """Full diagnostic dump: statistics, :meth:`iter_states` and :meth:`iter_transitions`."""
         states = [
-            {"layer": depth + 1, "path_key": list(key), "alpha_bar": a, "beta_bar": b, "p_fail": pf}
-            for depth, (lay, pfail) in enumerate(zip(self._layers, self._pfail))
-            for key, a, b, pf in zip(keys[depth], lay.alpha.tolist(), lay.beta.tolist(), pfail.tolist())
+            {**s._asdict(), "alpha_bar": s.alpha_bar.tolist(), "beta_bar": s.beta_bar.tolist()}
+            for s in self.iter_states()
         ]
-        transitions = [
-            {
-                "source": list(t.source),
-                "kind": t.kind.value,
-                "label": list(t.label) if isinstance(t.label, tuple) else t.label,
-                "weight": t.weight,
-                "target": None if t.target is None else list(t.target),
-            }
-            for t in self._transitions(keys)
-        ]
+        transitions = [{**t._asdict(), "kind": t.kind.value} for t in self.iter_transitions()]
         return {"statistics": self.statistics(), "states": states, "transitions": transitions}
 
 

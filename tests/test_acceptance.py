@@ -248,7 +248,7 @@ def test_criterion_8_state_bound_and_deactivation(general_set):
     for rec in records:
         bound = (rec.p.n * rec.p.q + 1) ** (rec.p.k + rec.q.k - 1) + 1
         ok &= rec.dag.num_states <= bound
-        states = {s.path_key: s for s in rec.dag.iter_states()}
+        states = {(s.layer, s.index): s for s in rec.dag.iter_states()}
         for t in rec.dag.iter_transitions():
             if t.kind == mx.TransitionKind.TYPE_II:
                 ok &= states[t.target].active_count <= states[t.source].active_count - 1

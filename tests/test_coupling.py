@@ -3,7 +3,7 @@ import json
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
-from itertools import product
+from itertools import product, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -207,20 +207,18 @@ def assert_failures_cover_the_runs(dag, failures):
 
 def scalar_transitions(dag):
     """The DAG's transitions as the views read them entry by entry, one numpy scalar at a time."""
-    keys = dag._path_keys()
     for depth, lay in enumerate(dag._layers[:-1]):
-        nxt = keys[depth + 1]
         totals = lay.res_p.sum(axis=1)
         for m in range(lay.size):
-            src, kids = keys[depth][m], lay.children[m].tolist()
+            src, kids = (depth + 1, m), lay.children[m].tolist()
             for c in range(dag.q):
                 w = float(lay.w1[m, c])
                 if w > 0.0:
-                    yield mx.Transition(src, coupling.TransitionKind.TYPE_I, c, w, nxt[kids[0]])
+                    yield mx.Transition(src, coupling.TransitionKind.TYPE_I, c, w, (depth + 2, kids[0]))
             for c in range(dag.q):
                 w = float(lay.w2[m, c])
                 if w > 0.0:
-                    yield mx.Transition(src, coupling.TransitionKind.TYPE_II, c, w, nxt[kids[c + 1]])
+                    yield mx.Transition(src, coupling.TransitionKind.TYPE_II, c, w, (depth + 2, kids[c + 1]))
             total = float(totals[m])
             for c in range(dag.q):
                 rp = float(lay.res_p[m, c])
@@ -233,7 +231,7 @@ def scalar_transitions(dag):
                         yield mx.Transition(src, coupling.TransitionKind.TYPE_III, (c, cc), w, None)
 
 
-def path_key_count(p, q):
+def tree_state_count(p, q):
     """States of the coupling tree with one state per path, by a DP over
     (active P-components, active Q-components) pairs: which children a state
     has depends only on which components are active."""
@@ -406,7 +404,7 @@ class TestBuildDag:
         root_t2 = sorted(
             t.label
             for t in dag.iter_transitions()
-            if t.kind == mx.TransitionKind.TYPE_II and len(t.source) == 0
+            if t.kind == mx.TransitionKind.TYPE_II and t.source == (1, 0)
         )
         assert root_t2 == [1, 2]
         totals = defaultdict(float)
@@ -462,23 +460,32 @@ class TestBuildDag:
         before = {name: id(value) for name, value in vars(dag).items()}
         list(dag.iter_states())
         list(dag.iter_transitions())
-        dag.pfail_map()
         dag.to_dict()
         dag.statistics()
         assert {name: id(value) for name, value in vars(dag).items()} == before
 
-    def test_path_keys_unique_and_bounded(self):
-        p, q = mx.random_instance(4, 3, 3, 2, seed=11)
-        dag = mx.build_dag(p, q)
-        states = list(dag.iter_states())
-        keys = [s.path_key for s in states]
-        assert len(keys) == len(set(keys))
-        for s in states:
-            assert len(s.path_key) == s.layer - 1
-            assert sum(1 for sym in s.path_key if sym != 0) <= p.k + q.k - 2
-            assert 2 <= s.active_count <= p.k + q.k
-            assert s.alpha_bar.sum() == pytest.approx(1.0, abs=1e-9)
-            assert s.beta_bar.sum() == pytest.approx(1.0, abs=1e-9)
+    def test_states_unique_and_type_two_steps_bounded(self, random_dags):
+        # The paper's lemma: every Type-II step deactivates a component, so
+        # no path takes more than k1 + k2 - 2 of them.  most[state] is the
+        # most Type-II edges on any path from the root into the state, by a
+        # DP over the transitions, which come in layer order.
+        extra = mx.random_instance(4, 3, 3, 2, seed=11)
+        for p, q, dag in [*random_dags, (*extra, mx.build_dag(*extra))]:
+            states = list(dag.iter_states())
+            names = [(s.layer, s.index) for s in states]
+            assert len(names) == len(set(names))
+            most = {(1, 0): 0}
+            for t in dag.iter_transitions():
+                if t.target is not None:
+                    steps = most[t.source] + (t.kind == mx.TransitionKind.TYPE_II)
+                    most[t.target] = max(most.get(t.target, 0), steps)
+            assert sorted(most) == names
+            assert max(most.values()) <= p.k + q.k - 2
+            for s in states:
+                assert 0 <= s.index < dag.layer_sizes[s.layer - 1]
+                assert 2 <= s.active_count <= p.k + q.k
+                assert s.alpha_bar.sum() == pytest.approx(1.0, abs=1e-9)
+                assert s.beta_bar.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -500,7 +507,7 @@ class TestDagInvariants:
             for t in dag.iter_transitions():
                 assert t.weight > 0.0
                 weight_out[t.source] += t.weight
-            non_terminal = {s.path_key for s in dag.iter_states() if s.layer <= dag.n}
+            non_terminal = {(s.layer, s.index) for s in dag.iter_states() if s.layer <= dag.n}
             assert set(weight_out) == non_terminal
             for total in weight_out.values():
                 assert total == pytest.approx(1.0, abs=1e-9)
@@ -519,7 +526,7 @@ class TestDagInvariants:
 
     def test_pfail_recursion(self, random_dags):
         for _, _, dag in random_dags:
-            pfail = dag.pfail_map()
+            pfail = {(s.layer, s.index): s.p_fail for s in dag.iter_states()}
             acc = defaultdict(float)
             for t in dag.iter_transitions():
                 acc[t.source] += t.weight * (1.0 if t.target is None else pfail[t.target])
@@ -528,7 +535,7 @@ class TestDagInvariants:
 
     def test_active_count_monotonicity(self, random_dags):
         for _, _, dag in random_dags:
-            states = {s.path_key: s for s in dag.iter_states()}
+            states = {(s.layer, s.index): s for s in dag.iter_states()}
             for t in dag.iter_transitions():
                 if t.kind == mx.TransitionKind.TYPE_II:
                     assert states[t.target].active_count <= states[t.source].active_count - 1
@@ -575,7 +582,7 @@ class TestDagInvariants:
             patch.setattr(coupling, "_gather", backward_pass_again)
             discrepancy = mx.failure_probability(dag)
             assert discrepancy > 0.0
-            assert dag.pfail_map()[()] == discrepancy
+            assert next(dag.iter_states()).p_fail == discrepancy
             assert_tables_unchanged()
             assert dag.to_dict()["statistics"]["discrepancy"] == discrepancy
             assert_tables_unchanged()
@@ -591,13 +598,12 @@ class TestDagInvariants:
         s1, s2 = list(d1.iter_states()), list(d2.iter_states())
         assert len(s1) == len(s2)
         for a, b in zip(s1, s2):
-            assert a.path_key == b.path_key
+            assert (a.layer, a.index, a.p_fail) == (b.layer, b.index, b.p_fail)
             np.testing.assert_array_equal(a.alpha_bar, b.alpha_bar)
             np.testing.assert_array_equal(a.beta_bar, b.beta_bar)
         t1 = [(t.source, t.kind, t.label, t.weight, t.target) for t in d1.iter_transitions()]
         t2 = [(t.source, t.kind, t.label, t.weight, t.target) for t in d2.iter_transitions()]
         assert t1 == t2
-        assert d1.pfail_map() == d2.pfail_map()
 
 
 def full_dag_hex(p, q, seed, draws):
@@ -670,7 +676,7 @@ class TestStateMerge:
         p, q = windowed_pair(seed)
         dag = mx.build_dag(p, q)
         assert_merged_and_canonical(dag)
-        assert 5 * sum(dag.layer_sizes) <= path_key_count(p, q)
+        assert 5 * sum(dag.layer_sizes) <= tree_state_count(p, q)
 
     @pytest.mark.parametrize("name,seed", sorted(PINNED_ESTIMATES))
     def test_estimates_are_bit_identical_to_the_unmerged_tree(self, name, seed):
@@ -682,7 +688,7 @@ class TestStateMerge:
     def test_max_states_counts_merged_states(self):
         p, q = windowed_pair(0, n=30)
         merged = sum(mx.build_dag(p, q).layer_sizes)
-        assert merged < path_key_count(p, q)
+        assert merged < tree_state_count(p, q)
         assert sum(mx.build_dag(p, q, max_states=merged).layer_sizes) == merged
         with pytest.raises(mx.TooLarge):
             mx.build_dag(p, q, max_states=merged - 1)
@@ -1327,16 +1333,14 @@ class TestSimulateCoupling:
         assert tv_y <= 0.02
 
 
-# sha256 of the --dump bytes, json.dumps(to_dict(), sort_keys=True, indent=2),
-# recorded while each layer still stored its states' parent rows and symbols.
-# The n3q3 digest was re-pinned when the aggregate marginals came to be summed
-# in component order: its DAG then has 16 states under every BLAS kernel,
-# where a BLAS product gave 14 or 16 depending on the kernel.
+# sha256 of the --dump bytes: the compact canonical JSON of to_dict(), with
+# sorted keys and no whitespace.  The aggregate marginals are summed in
+# component order, so the n3q3 DAG has 16 states under every BLAS kernel.
 PINNED_DUMPS = {
-    "smoke-general-n2q2.json": "8222862fab40ac4a37e2acdef1c19a9face6fec8ee613b107bf66338538ff440",
-    "smoke-general-n3q3.json": "cd6587f6df77d78cf68086b5199fb342e73216f5d699c34f67b7378380ec978f",
-    "smoke-subcube-n4.json": "d8b729fa48246515ae4a3a7eadf42dbab5ed255a9a978710735291a81011e75e",
-    "smoke-subcube-deep-n120.json": "ffbc237514d27d1445f66930884d2c0dfe95a4ade024aa1b624dcab1f57b1c03",
+    "smoke-general-n2q2.json": "c0115f63a9fefd2dba3ceefd0f066147dc5ceab5ba2062e48c4c459e2ab6527b",
+    "smoke-general-n3q3.json": "e701440f51db6243511189f1279e9e2f446c1c838e8356c8e119eb097a9ce7de",
+    "smoke-subcube-n4.json": "fe7c1f56886f9b1a463cd02e8bd4bbb236f410162f6f316f6472fc2c5a448bde",
+    "smoke-subcube-deep-n120.json": "4a6410fcba9647948d6e3e3febfbce860034c846b8a4a30834b84d3f53cb07dc",
 }
 
 
@@ -1344,7 +1348,7 @@ class TestDump:
     @pytest.mark.parametrize("name", sorted(PINNED_DUMPS))
     def test_dump_bytes_are_pinned(self, name, tmp_path, capsys):
         p, q = mx.parse_instance(json.loads((INSTANCES / name).read_text()))
-        text = json.dumps(mx.build_dag(p, q).to_dict(), sort_keys=True, indent=2)
+        text = json.dumps(mx.build_dag(p, q).to_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DUMPS[name]
         dump = tmp_path / "dag.json"
         code = cli.run(["coupling-stats", "--input", str(INSTANCES / name), "--dump", str(dump)])
@@ -1352,16 +1356,22 @@ class TestDump:
         assert code == 0
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == PINNED_DUMPS[name]
 
-    def test_path_keys_name_values_past_int16(self):
-        # A Type-II step at value c appends symbol c + 1, for every q.
+    def test_type_two_labels_name_values_past_int16(self):
+        # A Type-II edge at value c is labelled c, for every q.
         qq = 40_000
         p, q = mx.random_instance(1, qq, 2, 2, seed=0)
         dag = mx.build_dag(p, q)
-        keys = [s.path_key for s in dag.iter_states() if s.layer == 2]
-        assert len(keys) == dag.layer_sizes[1] == len(set(keys))
-        assert max(key[0] for key in keys) > 2**15  # past the int16 range
-        for key in keys:
-            assert key == (0,) or (len(key) == 1 and 1 <= key[0] <= qq), key
+        first = {}  # each layer-2 state's first-created edge
+        # The root's Type-I and Type-II edges come first; its ~q^2 / 4
+        # Type-III edges are never generated.
+        for t in takewhile(lambda t: t.kind != mx.TransitionKind.TYPE_III, dag.iter_transitions()):
+            first.setdefault(t.target, t)
+        assert len(first) == dag.layer_sizes[1]
+        assert sorted(first) == [(2, m) for m in range(dag.layer_sizes[1])]
+        labels = [t.label for t in first.values() if t.kind == mx.TransitionKind.TYPE_II]
+        assert max(labels) > 2**15  # past the int16 range
+        for t in first.values():
+            assert t.kind == mx.TransitionKind.TYPE_I or 0 <= t.label < qq, t
 
     def test_dump_round_trips_counts(self, two_component_pair):
         deep = mx.build_dag(*read_instance("smoke-subcube-deep-n120.json"))
@@ -1373,5 +1383,5 @@ class TestDump:
             assert len(doc["transitions"]) == dag.num_transitions == len(list(dag.iter_transitions()))
             assert doc["statistics"]["num_states"] == dag.num_states
         root = doc["states"][0]
-        assert root["layer"] == 1 and root["path_key"] == []
+        assert root["layer"] == 1 and root["index"] == 0
         assert root["p_fail"] == pytest.approx(0.05)
