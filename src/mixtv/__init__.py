@@ -42,7 +42,6 @@ from .errors import (
     ZeroDiscrepancy,
 )
 from .estimator import (
-    EstimatorConfig,
     TvEstimate,
     approximate_tv,
     f_value,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CnfFormula",
     "CouplingDag",
-    "EstimatorConfig",
     "FactViolation",
     "Mixture",
     "MixtvError",

@@ -345,19 +345,21 @@ def _build_parser() -> _Parser:
 
 def _cmd_approx(args) -> tuple[str, dict, list[str], str]:
     p, q, digest = _load_instance(args.input)
-    config = estimator.EstimatorConfig(
-        epsilon=args.epsilon,
-        seed=args.seed,
-        samples_override=args.samples,
-        repetitions=args.repetitions,
-    )
     warnings = []
     if args.samples is not None:
         warnings.append(
             "--samples overrides the theoretical sample count: the 99% guarantee "
             "rests on the empirical coarseness ratio, not the worst case"
         )
-    est = estimator.approximate_tv(p, q, config, max_states=args.max_states)
+    est = estimator.approximate_tv(
+        p,
+        q,
+        args.epsilon,
+        seed=args.seed,
+        samples_override=args.samples,
+        repetitions=args.repetitions,
+        max_states=args.max_states,
+    )
     result = {
         "estimate": est.estimate,
         "discrepancy": est.discrepancy,

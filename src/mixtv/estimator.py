@@ -16,6 +16,13 @@ which drops the coordinates that factor out of both mixtures and cancels
 the weight of the components that both hold. Both steps are exact; the
 DAG, the sample count and the draws then work on fewer coordinates and
 components.
+
+Without ``samples_override`` the sample count is the theoretical
+``ceil(100 / (gamma * epsilon^2))`` with ``gamma = (4nq)^-(k1+k2-1)``, which
+carries the 99% guarantee.  ``samples_override`` sets the count directly;
+the guarantee then rests on the empirical coarseness ratio, not the worst
+case.  ``repetitions`` returns the median of that many independent runs for
+confidence beyond 99%.
 """
 
 from __future__ import annotations
@@ -46,34 +53,6 @@ from .model import mass  # noqa: F401
 
 # Ratios may exceed 1 by at most this before they count as a coupling bug.
 CLAMP_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs of :func:`approximate_tv`.
-
-    Without ``samples_override`` the sample count is the theoretical
-    ``ceil(100 / (gamma * epsilon^2))`` with ``gamma = (4nq)^-(k1+k2-1)``,
-    which carries the 99% guarantee.  ``samples_override`` sets the count
-    directly; the guarantee then rests on the empirical coarseness ratio,
-    not the worst case.  ``repetitions`` returns the median of that many
-    independent runs for confidence beyond 99%.
-    """
-
-    epsilon: float
-    seed: int = 0
-    samples_override: int | None = None
-    repetitions: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ShapeMismatch(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.samples_override is not None and self.samples_override < 1:
-            raise ShapeMismatch(f"samples_override must be positive, got {self.samples_override}")
-        if self.repetitions < 1:
-            raise ShapeMismatch(f"repetitions must be positive, got {self.repetitions}")
-        if self.seed < 0:
-            raise ShapeMismatch(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -111,20 +90,18 @@ def _describe(omega: Sequence[int]) -> str:
     return f"sigma of length n={len(omega)} starting ({head}{', ...' if len(omega) > 8 else ''})"
 
 
-def f_values(
-    p: Mixture, q: Mixture, dag: CouplingDag, omegas: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """The estimator integrand at each configuration row of ``omegas``, clamped to [0, 1].
+def f_values(dag: CouplingDag, omegas: Sequence[Sequence[int]]) -> np.ndarray:
+    """The integrand of ``dag``'s mixtures at each configuration row of ``omegas``, clamped to [0, 1].
 
     The ratio ``max(0, P - Q) / failure mass`` never exceeds 1 for any
     coupling; an excess beyond 1e-9 therefore raises :class:`FactViolation`
     instead of being absorbed.  A row with zero failure mass raises
     :class:`ZeroDenominator`.  Either error names the first offending row.
     """
-    cfgs = as_configurations(p, omegas)
+    cfgs = as_configurations(dag.mix_p, omegas)
     denom = failure_masses(dag, cfgs)
     zero = denom <= 0.0
-    excess = np.maximum(0.0, masses(p, cfgs) - masses(q, cfgs))
+    excess = np.maximum(0.0, masses(dag.mix_p, cfgs) - masses(dag.mix_q, cfgs))
     ratio = np.divide(excess, denom, out=np.zeros_like(denom), where=~zero)
     bad = zero | (ratio > 1.0 + CLAMP_TOL)
     if bad.any():
@@ -137,9 +114,9 @@ def f_values(
     return np.minimum(ratio, 1.0)
 
 
-def f_value(p: Mixture, q: Mixture, dag: CouplingDag, omega: Sequence[int]) -> float:
-    """The estimator integrand at ``omega``: a one-row :func:`f_values` call."""
-    return float(f_values(p, q, dag, [omega])[0])
+def f_value(dag: CouplingDag, omega: Sequence[int]) -> float:
+    """The integrand of ``dag``'s mixtures at ``omega``: a one-row :func:`f_values` call."""
+    return float(f_values(dag, [omega])[0])
 
 
 def presolve(p: Mixture, q: Mixture) -> tuple[Mixture, Mixture, float] | None:
@@ -201,22 +178,22 @@ def presolve(p: Mixture, q: Mixture) -> tuple[Mixture, Mixture, float] | None:
     return core[0], core[1], cancelled
 
 
-def _mean_f(p: Mixture, q: Mixture, dag: CouplingDag, config: EstimatorConfig, draws: int) -> float:
-    """The median over ``config.repetitions`` of the mean integrand over ``draws`` failed walks of ``dag``.
+def _mean_f(dag: CouplingDag, seed: int, repetitions: int, draws: int) -> float:
+    """The median over ``repetitions`` of the mean integrand over ``draws`` failed walks of ``dag``.
 
-    Repetition ``rep`` draws from a stream derived from ``(config.seed,
-    rep)`` and sums its integrand values in draw order, in blocks of
-    :data:`BLOCK` draws.
+    Repetition ``rep`` draws from a stream derived from ``(seed, rep)`` and
+    sums its integrand values in draw order, in blocks of :data:`BLOCK`
+    draws.
     """
     fbars = []
-    for rep in range(config.repetitions):
+    for rep in range(repetitions):
         # The trailing 0 of the spawn key is part of the stream: removing it
         # would change every estimate.
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, 0)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, 0)))
         acc = 0.0
         for start in range(0, draws, BLOCK):
             omegas = sample_failed_trajectories(dag, rng, min(BLOCK, draws - start))
-            for value in f_values(p, q, dag, omegas).tolist():
+            for value in f_values(dag, omegas).tolist():
                 acc += value
         fbars.append(acc / draws)
     fbars.sort()
@@ -227,11 +204,17 @@ def _mean_f(p: Mixture, q: Mixture, dag: CouplingDag, config: EstimatorConfig, d
 def approximate_tv(
     p: Mixture,
     q: Mixture,
-    config: EstimatorConfig,
+    epsilon: float,
+    *,
+    seed: int = 0,
+    samples_override: int | None = None,
+    repetitions: int = 1,
     max_states: int | None = None,
 ) -> TvEstimate:
     """Estimate the total variation distance within a ``(1 +/- epsilon)`` factor.
 
+    Every setting is checked before any work, even when no DAG is built
+    (:class:`ShapeMismatch`); see the module docstring for the sample count.
     Reduces the instance to its core (:func:`presolve`), builds the core's
     coupling DAG (``max_states`` bounds its states), reads off the
     discrepancy, and averages the integrand over conditioned samples. The
@@ -246,7 +229,15 @@ def approximate_tv(
     bit-identical given (seed, repetitions), see :func:`_mean_f`.
     """
     t0 = time.perf_counter()
-    if max_states is not None and max_states < 1:  # rejected even when no DAG is built
+    if not 0.0 < epsilon < math.inf:
+        raise ShapeMismatch(f"epsilon must be positive and finite, got {epsilon}")
+    if samples_override is not None and samples_override < 1:
+        raise ShapeMismatch(f"samples_override must be positive, got {samples_override}")
+    if repetitions < 1:
+        raise ShapeMismatch(f"repetitions must be positive, got {repetitions}")
+    if seed < 0:
+        raise ShapeMismatch(f"seed must be non-negative, got {seed}")
+    if max_states is not None and max_states < 1:
         raise ShapeMismatch(f"max_states must be at least 1, got {max_states}")
     core = presolve(p, q)
     gamma, fbar, discrepancy, draws = theoretical_gamma(p.n, p.q, p.k, q.k), 0.0, 0.0, 0
@@ -256,12 +247,8 @@ def approximate_tv(
         discrepancy = failure_probability(dag)
         gamma = theoretical_gamma(p.n, p.q, p.k, q.k)
         if discrepancy != 0.0:
-            draws = (
-                config.samples_override
-                if config.samples_override is not None
-                else sample_count(gamma, config.epsilon)
-            )
-            fbar = _mean_f(p, q, dag, config, draws)
+            draws = samples_override if samples_override is not None else sample_count(gamma, epsilon)
+            fbar = _mean_f(dag, seed, repetitions, draws)
         discrepancy *= 1.0 - cancelled
     return TvEstimate(
         estimate=fbar * discrepancy,
@@ -269,6 +256,6 @@ def approximate_tv(
         fbar=fbar,
         gamma=gamma,
         samples=draws,
-        seed=config.seed,
+        seed=seed,
         elapsed=time.perf_counter() - t0,
     )

@@ -219,14 +219,18 @@ def parse_instance(doc: Any) -> tuple[Mixture, Mixture]:
     """Parse a JSON instance document into a validated pair of mixtures.
 
     ``doc`` must be a mapping whose ``"q"`` and ``"n"`` are integers (not
-    bools) equal to the arrays' alphabet size and dimension; anything else is
-    a :class:`ShapeMismatch`.
+    bools) equal to the arrays' alphabet size and dimension, and whose
+    ``"p"`` and ``"q_dist"`` are mappings; anything else is a
+    :class:`ShapeMismatch`.
     """
     if not isinstance(doc, Mapping):
         raise ShapeMismatch(f"instance document must be an object, got {type(doc).__name__}")
     for key in ("q", "n", "p", "q_dist"):
         if key not in doc:
             raise ShapeMismatch(f"instance document is missing key {key!r}")
+    for key in ("p", "q_dist"):
+        if not isinstance(doc[key], Mapping):
+            raise ShapeMismatch(f"instance {key!r} must be an object with 'weights' and 'components'")
     p = validate_mixture(doc["p"])
     q = validate_mixture(doc["q_dist"])
     check_same_domain(p, q)

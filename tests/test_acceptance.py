@@ -196,11 +196,7 @@ def test_criterion_6_fpras_end_to_end(uniform2, point00):
     t0 = time.perf_counter()
     hits = 0
     for seed in range(20):
-        est = mx.approximate_tv(
-            uniform2,
-            point00,
-            mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=10_000),
-        )
+        est = mx.approximate_tv(uniform2, point00, 0.1, seed=seed, samples_override=10_000)
         assert est.samples == 10_000
         hits += 0.675 <= est.estimate <= 0.825
     elapsed = time.perf_counter() - t0

@@ -70,6 +70,18 @@ class TestApprox:
         assert code == 3
         assert json.loads(err)["error"] == "validation"
 
+    # A pair, a float block that the reader cuts to an array, and a string.
+    @pytest.mark.parametrize("value", [[[1.0], [[[0.5, 0.5]]]], [[[0.5, 0.5]]], "ab"])
+    def test_mixture_that_is_not_an_object_is_validation_error(self, capsys, tmp_path, value):
+        path = tmp_path / "pair.json"
+        doc = {"q": 2, "n": 1, "p": value, "q_dist": {"weights": [1.0], "components": [[[1.0, 0.0]]]}}
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["approx", "--input", str(path), "--epsilon", "0.1"])
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["error"] == "validation"
+        assert error["detail"] == "instance 'p' must be an object with 'weights' and 'components'"
+
     def test_bad_epsilon_is_validation_error(self, capsys, small_instance):
         for epsilon in ("-1", "inf", "nan"):
             code, _, err = run_cli(
@@ -317,6 +329,15 @@ class TestGen:
         cnf.write_text("p cnf 3 1\n1 2 0\n")
         code, _, _ = run_cli(capsys, ["gen", "from-cnf", "--dimacs", str(cnf)])
         assert code == 3
+
+    def test_from_cnf_comment_only(self, capsys, tmp_path):
+        cnf = tmp_path / "comment.cnf"
+        cnf.write_text("c no header and no clause\n")
+        code, out, err = run_cli(capsys, ["gen", "from-cnf", "--dimacs", str(cnf)])
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["error"] == "validation"
+        assert "missing DIMACS 'p cnf' header" in error["detail"]
 
     def test_from_cnf_one_header_before_the_clauses(self, capsys, tmp_path):
         for name, text in (

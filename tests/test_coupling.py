@@ -450,7 +450,7 @@ class TestBuildDag:
         assert mx.failure_mass_table(dag).tolist() == [1.0] + [0.0] * 7
         draws = mx.sample_failed_trajectories(dag, np.random.default_rng(0), 16)
         assert draws.tolist() == [[0, 0, 0]] * 16
-        est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, samples_override=10))
+        est = mx.approximate_tv(p, q, 0.1, samples_override=10)
         assert est.estimate == 1.0
         assert len(dag.to_dict()["states"]) == 1
 
@@ -612,14 +612,13 @@ def full_dag_hex(p, q, seed, draws):
     core that approximate_tv reduces it to."""
     dag = mx.build_dag(p, q)
     discrepancy = mx.failure_probability(dag)
-    config = mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=draws)
-    fbar = estimator._mean_f(p, q, dag, config, draws)
+    fbar = estimator._mean_f(dag, seed, 1, draws)
     return (fbar * discrepancy).hex(), discrepancy.hex()
 
 
 def approx_hex(p, q, seed, draws):
     """float.hex of (estimate, discrepancy) of approximate_tv."""
-    est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=draws))
+    est = mx.approximate_tv(p, q, 0.1, seed=seed, samples_override=draws)
     return est.estimate.hex(), est.discrepancy.hex()
 
 
@@ -1076,7 +1075,7 @@ class TestEvaluateFailureMass:
         assert masses.tolist() == pytest.approx(dense, rel=1e-12, abs=1e-15)
         assert masses.sum() == pytest.approx(mx.failure_probability(dag), abs=1e-12)
         hit = masses > 0.0
-        f = mx.f_values(p, q, dag, configs[hit]) if hit.any() else np.zeros(0)
+        f = mx.f_values(dag, configs[hit]) if hit.any() else np.zeros(0)
         assert (masses[hit] * f).sum() == pytest.approx(mx.brute_force_tv(p, q), abs=1e-9)
         perm = np.random.default_rng(0).permutation(len(configs))
         assert mx.failure_masses(dag, configs[perm]).tolist() == masses[perm].tolist()
@@ -1331,6 +1330,11 @@ class TestSimulateCoupling:
         tv_y = sum(abs(cy.get(c, 0) / n_draws - q_tab[i]) for i, c in enumerate(configs)) / 2
         assert tv_x <= 0.02
         assert tv_y <= 0.02
+
+    def test_pick_at_a_uniform_equal_to_the_total_takes_the_last_positive_weight(self):
+        # A uniform of exactly 1.0 lands past every partial sum; the pick
+        # falls back to the last index of positive weight, not a trailing zero.
+        assert coupling._scalar_pick(ScriptedRng([1.0]), [0.25, 0.0, 0.75, 0.0]) == 2
 
 
 # sha256 of the --dump bytes: the compact canonical JSON of to_dict(), with

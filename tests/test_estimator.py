@@ -47,7 +47,7 @@ def rebuilt(m, weights, components):
 
 
 def approx(p, q, seed=0):
-    return mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, seed=seed, samples_override=300))
+    return mx.approximate_tv(p, q, 0.1, seed=seed, samples_override=300)
 
 
 def assert_same_core(got, want):
@@ -81,25 +81,27 @@ class TestParameters:
     def test_sample_count_at_least_one(self):
         assert mx.sample_count(1.0, 1e200) == 1
 
-    def test_config_validation(self):
-        with pytest.raises(mx.ShapeMismatch):
-            mx.EstimatorConfig(epsilon=0.0)
-        with pytest.raises(mx.ShapeMismatch):
-            mx.EstimatorConfig(epsilon=0.1, samples_override=0)
-        with pytest.raises(mx.ShapeMismatch):
-            mx.EstimatorConfig(epsilon=0.1, repetitions=0)
-        with pytest.raises(mx.ShapeMismatch):
-            mx.EstimatorConfig(epsilon=0.1, seed=-1)
+    def test_setting_validation(self, uniform2, point00):
+        with pytest.raises(mx.ShapeMismatch, match="epsilon must be positive and finite, got 0.0"):
+            mx.approximate_tv(uniform2, point00, 0.0)
+        with pytest.raises(mx.ShapeMismatch, match="samples_override must be positive, got 0"):
+            mx.approximate_tv(uniform2, point00, 0.1, samples_override=0)
+        # Settings are checked before the presolve: these mixtures would
+        # fail its domain check.
+        with pytest.raises(mx.ShapeMismatch, match="repetitions must be positive, got 0"):
+            mx.approximate_tv(uniform2, point_mass((0, 0, 0)), 0.1, repetitions=0)
+        with pytest.raises(mx.ShapeMismatch, match="seed must be non-negative, got -1"):
+            mx.approximate_tv(uniform2, point00, 0.1, seed=-1)
         for epsilon in (float("inf"), float("nan")):
-            with pytest.raises(mx.ShapeMismatch):
-                mx.EstimatorConfig(epsilon=epsilon)
+            with pytest.raises(mx.ShapeMismatch, match="epsilon must be positive and finite"):
+                mx.approximate_tv(uniform2, point00, epsilon)
 
 
 class TestFValue:
     def test_all_failure_mass_on_excess(self, uniform2, point00):
         dag = mx.build_dag(uniform2, point00)
-        assert mx.f_value(uniform2, point00, dag, (1, 1)) == pytest.approx(1.0, abs=1e-12)
-        assert mx.f_value(uniform2, point00, dag, (0, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert mx.f_value(dag, (1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert mx.f_value(dag, (0, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_when_q_dominates(self):
         p, q = mx.random_instance(3, 2, 2, 2, seed=40)
@@ -107,39 +109,39 @@ class TestFValue:
         hit = False
         for cfg in lex_configs(3, 2):
             if mx.mass(p, cfg) <= mx.mass(q, cfg) and mx.evaluate_failure_mass(dag, cfg) > 0:
-                assert mx.f_value(p, q, dag, cfg) == 0.0
+                assert mx.f_value(dag, cfg) == 0.0
                 hit = True
         assert hit
 
     def test_zero_denominator(self, uniform2, point00):
         dag = mx.build_dag(uniform2, point00)
         with pytest.raises(mx.ZeroDenominator):
-            mx.f_value(uniform2, point00, dag, (0, 0))
+            mx.f_value(dag, (0, 0))
 
     def test_fact_violation_on_foreign_dag(self, uniform2, point00):
         # A DAG built for different mixtures cannot dominate this excess;
         # the ratio blows past 1 and must raise instead of clamp.
         dag = mx.build_dag(uniform2, point00)
-        wrong_p = point_mass((1, 1))
+        foreign = mx.CouplingDag(point_mass((1, 1)), point00, dag._layers, dag._pfail)
         with pytest.raises(mx.FactViolation):
-            mx.f_value(wrong_p, point00, dag, (1, 1))
+            mx.f_value(foreign, (1, 1))
 
     def test_block_rows_equal_single_calls(self):
         p, q = mx.random_instance(3, 3, 2, 2, seed=52)
         dag = mx.build_dag(p, q)
         configs = [c for c in lex_configs(3, 3) if mx.evaluate_failure_mass(dag, c) > 0]
-        block = mx.f_values(p, q, dag, configs[::-1])
-        assert block.tolist() == [mx.f_value(p, q, dag, c) for c in configs[::-1]]
+        block = mx.f_values(dag, configs[::-1])
+        assert block.tolist() == [mx.f_value(dag, c) for c in configs[::-1]]
 
     def test_block_names_the_first_offending_sigma(self, uniform2, point00):
         dag = mx.build_dag(uniform2, point00)
         with pytest.raises(mx.ZeroDenominator, match=r"starting \(0, 0\)"):
-            mx.f_values(uniform2, point00, dag, [(1, 1), (0, 0), (0, 1)])
-        wrong_p = point_mass((1, 1))
+            mx.f_values(dag, [(1, 1), (0, 0), (0, 1)])
+        foreign = mx.CouplingDag(point_mass((1, 1)), point00, dag._layers, dag._pfail)
         with pytest.raises(mx.FactViolation, match=r"starting \(1, 1\)"):
-            mx.f_values(wrong_p, point00, dag, [(0, 1), (1, 1), (0, 0)])
+            mx.f_values(foreign, [(0, 1), (1, 1), (0, 0)])
         with pytest.raises(mx.ZeroDenominator):
-            mx.f_values(wrong_p, point00, dag, [(0, 0), (1, 1)])
+            mx.f_values(foreign, [(0, 0), (1, 1)])
 
     def test_range_on_random_instances(self):
         for seed in range(10):
@@ -147,34 +149,33 @@ class TestFValue:
             dag = mx.build_dag(p, q)
             for cfg in lex_configs(3, 3):
                 if mx.evaluate_failure_mass(dag, cfg) > 0:
-                    assert 0.0 <= mx.f_value(p, q, dag, cfg) <= 1.0
+                    assert 0.0 <= mx.f_value(dag, cfg) <= 1.0
 
 
 class TestApproximateTv:
     def test_identical_mixtures_early_exit(self):
         p, _ = mx.random_instance(3, 2, 2, 1, seed=0)
-        est = mx.approximate_tv(p, p, mx.EstimatorConfig(epsilon=0.1, seed=1))
+        est = mx.approximate_tv(p, p, 0.1, seed=1)
         assert est.estimate == 0.0
         assert est.samples == 0
         assert est.discrepancy == 0.0
 
     def test_estimate_is_fbar_times_discrepancy(self):
         p, q = mx.random_instance(2, 2, 2, 2, seed=5)
-        est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.5, seed=2, samples_override=300))
+        est = mx.approximate_tv(p, q, 0.5, seed=2, samples_override=300)
         assert est.estimate == est.fbar * est.discrepancy
         assert 0.0 <= est.fbar <= 1.0
 
     def test_theoretical_sample_count_used(self, uniform2, point00):
-        est = mx.approximate_tv(uniform2, point00, mx.EstimatorConfig(epsilon=1.0, seed=0))
+        est = mx.approximate_tv(uniform2, point00, 1.0, seed=0)
         # gamma = (4 * 2 * 2)^-1 and epsilon = 1 give m = 1600
         assert est.gamma == 1.0 / 16.0
         assert est.samples == 1600
 
     def test_reproducible_across_calls(self):
         p, q = mx.random_instance(3, 2, 2, 2, seed=6)
-        cfg = mx.EstimatorConfig(epsilon=0.5, seed=42, samples_override=400)
-        a = mx.approximate_tv(p, q, cfg)
-        b = mx.approximate_tv(p, q, cfg)
+        a = mx.approximate_tv(p, q, 0.5, seed=42, samples_override=400)
+        b = mx.approximate_tv(p, q, 0.5, seed=42, samples_override=400)
         assert (a.estimate, a.fbar, a.discrepancy, a.samples) == (
             b.estimate,
             b.fbar,
@@ -184,21 +185,18 @@ class TestApproximateTv:
 
     def test_block_dedupe_keeps_the_per_draw_sum(self, monkeypatch):
         p, q = mx.random_instance(2, 2, 2, 2, seed=5)
-        cfg = mx.EstimatorConfig(epsilon=0.5, seed=4, samples_override=600, repetitions=2)
-        blocked = mx.approximate_tv(p, q, cfg)
+        opts = {"seed": 4, "samples_override": 600, "repetitions": 2}
+        blocked = mx.approximate_tv(p, q, 0.5, **opts)
         monkeypatch.setattr(estimator, "BLOCK", 1)
-        single = mx.approximate_tv(p, q, cfg)
+        single = mx.approximate_tv(p, q, 0.5, **opts)
         assert (blocked.estimate, blocked.fbar) == (single.estimate, single.fbar)
 
     def test_repetitions_stay_deterministic(self):
         p, q = mx.random_instance(2, 2, 2, 2, seed=8)
         dag = mx.build_dag(p, q)
         for repetitions in (3, 4):
-            cfg = mx.EstimatorConfig(
-                epsilon=0.5, seed=3, samples_override=101, repetitions=repetitions
-            )
-            a = mx.approximate_tv(p, q, cfg)
-            b = mx.approximate_tv(p, q, cfg)
+            a = mx.approximate_tv(p, q, 0.5, seed=3, samples_override=101, repetitions=repetitions)
+            b = mx.approximate_tv(p, q, 0.5, seed=3, samples_override=101, repetitions=repetitions)
             assert a.estimate == b.estimate
             assert a.estimate == a.fbar * a.discrepancy
             # The median of the repetitions' means, bit for bit.  101 draws
@@ -208,7 +206,7 @@ class TestApproximateTv:
                 seq = np.random.SeedSequence(entropy=3, spawn_key=(rep, 0))
                 sigmas = mx.sample_failed_trajectories(dag, np.random.default_rng(seq), 101)
                 acc = 0.0
-                for value in mx.f_values(p, q, dag, sigmas).tolist():
+                for value in mx.f_values(dag, sigmas).tolist():
                     acc += value
                 fbars.append(acc / 101)
             assert a.fbar == statistics.median(fbars)
@@ -217,9 +215,7 @@ class TestApproximateTv:
         p, q = mx.random_instance(3, 2, 2, 2, seed=9)
         tv = mx.brute_force_tv(p, q)
         estimates = [
-            mx.approximate_tv(
-                p, q, mx.EstimatorConfig(epsilon=0.5, seed=s, samples_override=200)
-            ).estimate
+            mx.approximate_tv(p, q, 0.5, seed=s, samples_override=200).estimate
             for s in range(200)
         ]
         mean = statistics.mean(estimates)
@@ -237,7 +233,7 @@ class TestApproximateTv:
             for cfg in lex_configs(3, 3):
                 mass_fail = mx.evaluate_failure_mass(dag, cfg)
                 if mass_fail > 0.0:
-                    total += mass_fail * mx.f_value(p, q, dag, cfg)
+                    total += mass_fail * mx.f_value(dag, cfg)
             assert total == pytest.approx(mx.brute_force_tv(p, q), abs=1e-9)
 
 
@@ -281,7 +277,7 @@ class TestPresolve:
         assert (est.estimate, est.discrepancy, est.fbar, est.samples) == (0.0, 0.0, 0.0, 0)
         assert est.gamma == mx.theoretical_gamma(3, 2, 2, 2)
         with pytest.raises(mx.ShapeMismatch):
-            mx.approximate_tv(p, reordered, mx.EstimatorConfig(epsilon=0.1), max_states=0)
+            mx.approximate_tv(p, reordered, 0.1, max_states=0)
         # A side left with zero-weight components only has no weight either.
         idle = rebuilt(p, [*p.weights, 0.0], [*p.components, q.components[0]])
         assert estimator.presolve(idle, p) is None
@@ -396,7 +392,7 @@ class TestPresolve:
     def assert_within_hoeffding(p, q, draws):
         tv = mx.exact_subcube_tv(p, q)
         assert 0.1 < tv < 0.9
-        est = mx.approximate_tv(p, q, mx.EstimatorConfig(epsilon=0.1, seed=0, samples_override=draws))
+        est = mx.approximate_tv(p, q, 0.1, seed=0, samples_override=draws)
         halfwidth = est.discrepancy * math.sqrt(math.log(2 / HOEFFDING_DELTA) / (2 * draws))
         assert est.discrepancy >= tv - 1e-12
         assert abs(est.estimate - tv) <= halfwidth

@@ -226,6 +226,21 @@ class TestInstanceDocuments:
         with pytest.raises(mx.ShapeMismatch):
             mx.parse_instance({"q": 2, "n": 1, "p": {}})
 
+    def test_mixtures_must_be_objects(self):
+        # A (weights, components) pair is a form of validate_mixture, not of
+        # the instance document.
+        pair = [[1.0], [[[0.5, 0.5]]]]
+        mapping = {"weights": [1.0], "components": [[[0.5, 0.5]]]}
+        doc = {"q": 2, "n": 1, "p": pair, "q_dist": [[1.0], [[[1.0, 0.0]]]]}
+        with pytest.raises(mx.ShapeMismatch, match="instance 'p' must be an object"):
+            mx.parse_instance(doc)
+        with pytest.raises(mx.ShapeMismatch, match="instance 'p' must be an object"):
+            mx.parse_instance({**doc, "p": "ab"})
+        with pytest.raises(mx.ShapeMismatch, match="instance 'q_dist' must be an object"):
+            mx.parse_instance({**doc, "p": mapping})
+        by_pair, by_mapping = mx.validate_mixture(pair), mx.validate_mixture(mapping)
+        assert by_pair.components.tobytes() == by_mapping.components.tobytes()
+
     def test_rejects_domain_mismatch(self):
         p, _ = mx.random_instance(2, 2, 1, 1, seed=0)
         q3, _ = mx.random_instance(2, 3, 1, 1, seed=0)

@@ -143,6 +143,9 @@ class TestCnf:
             mx.parse_dimacs("p cnf x y\n1 2 3 0\n")
         with pytest.raises(mx.NotThreeCnf):
             mx.parse_dimacs("p cnf 3 1\n1 two 3 0\n")
+        for text in ("c comment only\n", ""):
+            with pytest.raises(mx.NotThreeCnf, match="missing DIMACS 'p cnf' header"):
+                mx.parse_dimacs(text)
 
     def test_parse_dimacs_rejects_trailing_literals(self):
         with pytest.raises(mx.NotThreeCnf, match="trailing literals without a terminating 0"):
